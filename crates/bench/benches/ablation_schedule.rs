@@ -6,7 +6,7 @@
 //! versus constant schedules, demonstrating why the linear ramp is used.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dp_diffusion::{NoiseSchedule, Sampler, UniformDenoiser};
+use dp_diffusion::{BatchScratch, Conditioning, NoiseSchedule, Sampler, UniformDenoiser};
 use rand::SeedableRng;
 
 fn reverse_cost_vs_steps(c: &mut Criterion) {
@@ -14,10 +14,22 @@ fn reverse_cost_vs_steps(c: &mut Criterion) {
     group.sample_size(10);
     for steps in [10usize, 50, 100] {
         let sampler = Sampler::new(NoiseSchedule::linear(steps, 0.01, 0.5).unwrap());
-        let mut d = UniformDenoiser::new();
+        let full = sampler.strided_steps(1);
+        let d = UniformDenoiser::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut scratch = BatchScratch::new();
         group.bench_with_input(BenchmarkId::from_parameter(steps), &steps, |b, _| {
-            b.iter(|| sampler.sample_one(&mut d, 4, 16, &mut rng))
+            b.iter(|| {
+                sampler.sample_conditioned_batch_with(
+                    &d,
+                    4,
+                    16,
+                    &full,
+                    &Conditioning::none(),
+                    std::slice::from_mut(&mut rng),
+                    &mut scratch,
+                )
+            })
         });
     }
     group.finish();

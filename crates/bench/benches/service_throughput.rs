@@ -1,10 +1,9 @@
-//! Serving throughput: the PR 5 acceptance benchmark. Eight concurrent
-//! `count = 2` requests through one [`PatternService`] versus eight
-//! sequential `GenerationSession::generate(2)` calls — the same 16 items
-//! with the same seeds either way (both paths are bit-identical by the
-//! determinism contract), but the service fills each denoising
-//! micro-batch with lanes from *several* requests, so the U-Net runs at
-//! batch ≈ 8 instead of batch 2.
+//! Serving throughput: eight concurrent `count = 2` requests through one
+//! [`PatternService`] versus eight sequential blocking
+//! [`PatternService::generate`] calls — the same 16 items with the same
+//! seeds either way (bit-identical by the determinism contract), but
+//! concurrent submission fills each denoising micro-batch with lanes from
+//! *several* requests, so the U-Net runs at batch ≈ 8 instead of batch 2.
 //!
 //! Two service rows pin the two mechanisms separately:
 //!
@@ -16,14 +15,14 @@
 //!   linear in B), so the measured gain here tracks that ceiling.
 //! * `service_8x_count2_pool` uses one worker per CPU. A sequential
 //!   `generate(2)` call structurally caps at one worker — `count = 2`
-//!   fits in a single micro-batch chunk, so extra session threads have
-//!   nothing to claim — while the service pool spreads the 16 queued
-//!   lanes across every core. On ≥ 2 cores this is where the ≥ 1.2x
+//!   fits in a single micro-batch chunk, so extra workers have nothing
+//!   to claim — while the pool spreads the 16 queued lanes across every
+//!   core. On ≥ 2 cores this is where the ≥ 1.2x
 //!   per-item acceptance floor comes from; on a 1-CPU container the row
 //!   collapses to the single-worker one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use diffpattern::{GenerationSession, PatternService, RequestSpec, TrainedModel};
+use diffpattern::{PatternService, RequestSpec, TrainedModel};
 use dp_diffusion::{NeuralDenoiser, NoiseSchedule};
 use dp_nn::{UNet, UNetConfig};
 use rand::SeedableRng;
@@ -62,33 +61,33 @@ fn service_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("service_throughput");
     group.sample_size(10);
 
-    // Baseline: the 8 requests served one after another, each batching
-    // only within itself (B = 2 denoising lanes per U-Net call).
-    group.bench_function("sequential_8x_session_generate2", |b| {
+    let service = |threads: usize| {
+        PatternService::builder(Arc::clone(&model))
+            .threads(threads)
+            .micro_batch(8)
+            .build()
+            .unwrap()
+    };
+
+    // Baseline: the 8 requests served one after another on one worker,
+    // each batching only within itself (B = 2 denoising lanes per U-Net
+    // call).
+    group.bench_function("sequential_8x_generate2", |b| {
+        let service = service(1);
         b.iter(|| {
             let mut produced = 0usize;
             for i in 0..REQUESTS as u64 {
-                let session = GenerationSession::builder(&model)
-                    .threads(1)
-                    .micro_batch(8)
-                    .seed(1000 + i)
-                    .build()
-                    .unwrap();
-                produced += session.generate(COUNT_PER_REQUEST).unwrap().items.len();
+                produced += service.generate(&spec(1000 + i)).unwrap().items.len();
             }
             produced
         })
     });
 
-    // The serving engine: all 8 requests admitted up front, micro-batches
-    // filled across requests (B ≈ 8 lanes per U-Net call). Output is
-    // bit-identical to the sequential row seed for seed.
+    // All 8 requests admitted up front, micro-batches filled across
+    // requests (B ≈ 8 lanes per U-Net call). Output is bit-identical to
+    // the sequential row seed for seed.
     let run_service = |b: &mut criterion::Bencher, threads: usize| {
-        let service = PatternService::builder(Arc::clone(&model))
-            .threads(threads)
-            .micro_batch(8)
-            .build()
-            .unwrap();
+        let service = service(threads);
         b.iter(|| {
             let handles: Vec<_> = (0..REQUESTS as u64)
                 .map(|i| service.submit(&spec(1000 + i)).unwrap())

@@ -7,10 +7,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_bench::{bench_patterns, bench_topology};
-use dp_diffusion::{BatchScratch, NoiseSchedule, Sampler, UniformDenoiser};
+use dp_diffusion::{BatchScratch, Conditioning, NoiseSchedule, Sampler, UniformDenoiser};
 use dp_drc::DesignRules;
 use dp_legalize::{Init, Solver, SolverConfig};
-use dp_nn::{Precision, UNet, UNetConfig};
+use dp_nn::{UNet, UNetConfig};
 use rand::SeedableRng;
 
 fn sampling(c: &mut Criterion) {
@@ -29,32 +29,36 @@ fn sampling(c: &mut Criterion) {
         dropout: 0.0,
     };
     let mut denoiser = dp_diffusion::NeuralDenoiser::new(UNet::new(&config, &mut rng));
+    denoiser.unet_mut().prepack();
     let sampler = Sampler::new(NoiseSchedule::linear(30, 0.01, 0.5).unwrap());
+    let full = sampler.strided_steps(1);
+    let none = Conditioning::none();
 
     let mut group = c.benchmark_group("table2/sampling");
     group.sample_size(10);
-    // Cold path for reference: unpacked weights, no workspace reuse. No
-    // production path runs this configuration — it exists to show what
-    // prepacking buys.
-    group.bench_function("topology_per_sample_unpacked", |b| {
-        b.iter(|| sampler.sample_one(&mut denoiser, 16, 8, &mut rng))
-    });
     // The headline row: prepacked weights and a warm scratch, exactly the
     // steady-state a `PatternService` worker runs a single-lane chunk in.
-    denoiser.unet_mut().prepack();
     let mut scratch = BatchScratch::new();
     group.bench_function("topology_per_sample", |b| {
         let mut round = 0u64;
         b.iter(|| {
             round += 1;
             let mut rngs = vec![rand::rngs::StdRng::seed_from_u64(round)];
-            sampler.sample_batch_with(&denoiser, 16, 8, &mut rngs, &mut scratch)
+            sampler.sample_conditioned_batch_with(
+                &denoiser,
+                16,
+                8,
+                &full,
+                &none,
+                &mut rngs,
+                &mut scratch,
+            )
         })
     });
-    // The micro-batched inference path `GenerationSession` actually runs:
-    // 8 lock-step chains per U-Net call, prepacked weights, warm scratch.
-    // The reported time is per *call* — divide by 8 for the per-topology
-    // cost comparable to `topology_per_sample`.
+    // The micro-batched inference path a `PatternService` worker runs
+    // under load: 8 lock-step chains per U-Net call, prepacked weights,
+    // warm scratch. The reported time is per *call* — divide by 8 for the
+    // per-topology cost comparable to `topology_per_sample`.
     group.bench_function("topology_batched8_per_call", |b| {
         let mut round = 0u64;
         b.iter(|| {
@@ -62,21 +66,15 @@ fn sampling(c: &mut Criterion) {
             let mut rngs: Vec<rand::rngs::StdRng> = (0..8)
                 .map(|i| rand::rngs::StdRng::seed_from_u64(round * 8 + i))
                 .collect();
-            sampler.sample_batch_with(&denoiser, 16, 8, &mut rngs, &mut scratch)
-        })
-    });
-    // The reduced-precision opt-in (`Precision::Bf16`): bf16-rounded
-    // packed weights on the same single-lane steady-state path. The
-    // architecture is identical, so any delta is pure memory-bandwidth
-    // effect on the packed panels.
-    let mut bf16_denoiser = dp_diffusion::NeuralDenoiser::new(UNet::new(&config, &mut rng));
-    bf16_denoiser.unet_mut().prepack_with(Precision::Bf16);
-    group.bench_function("topology_per_sample_bf16", |b| {
-        let mut round = 0u64;
-        b.iter(|| {
-            round += 1;
-            let mut rngs = vec![rand::rngs::StdRng::seed_from_u64(round)];
-            sampler.sample_batch_with(&bf16_denoiser, 16, 8, &mut rngs, &mut scratch)
+            sampler.sample_conditioned_batch_with(
+                &denoiser,
+                16,
+                8,
+                &full,
+                &none,
+                &mut rngs,
+                &mut scratch,
+            )
         })
     });
     // The conditioned single-lane steady-state path: a quarter of the
@@ -92,10 +90,9 @@ fn sampling(c: &mut Criterion) {
     .unwrap();
     let guidance =
         dp_diffusion::MotifGuidance::new(dp_diffusion::Motif::IsolatedCell, 4.0).unwrap();
-    let conditioning = dp_diffusion::Conditioning::none()
+    let conditioning = Conditioning::none()
         .with_frozen(frozen)
         .with_avoid(guidance);
-    let retained = sampler.strided_steps(1);
     group.bench_function("topology_conditioned_per_sample", |b| {
         let mut round = 0u64;
         b.iter(|| {
@@ -105,7 +102,7 @@ fn sampling(c: &mut Criterion) {
                 &denoiser,
                 16,
                 8,
-                &retained,
+                &full,
                 &conditioning,
                 &mut rngs,
                 &mut scratch,
@@ -113,9 +110,19 @@ fn sampling(c: &mut Criterion) {
         })
     });
     // Null-model baseline showing the network cost dominates the chain.
-    let mut uniform = UniformDenoiser::new();
+    let uniform = UniformDenoiser::new();
     group.bench_function("chain_overhead_only", |b| {
-        b.iter(|| sampler.sample_one(&mut uniform, 16, 8, &mut rng))
+        b.iter(|| {
+            sampler.sample_conditioned_batch_with(
+                &uniform,
+                16,
+                8,
+                &full,
+                &none,
+                std::slice::from_mut(&mut rng),
+                &mut scratch,
+            )
+        })
     });
     group.finish();
 }

@@ -17,7 +17,9 @@
 //! single engine (the requests fill each other's denoising micro-batches)
 //! and writes one manifest per rule set under `OUT/<preset>/`. `demo`
 //! trains and generates in one go and prints ASCII art. The argument
-//! parser is deliberately dependency-free (`--key value` pairs only).
+//! parser is deliberately dependency-free (`--key value` pairs only) and
+//! strict: an option the (sub)command does not take, or a number that
+//! does not parse, is a usage error.
 //!
 //! `--weights FILE` is accepted as an alias of `--model FILE` for
 //! compatibility with pre-0.2 invocations (the file format changed: old
@@ -30,7 +32,7 @@ use diffpattern::render::{layout_to_pgm, pattern_to_ascii};
 use diffpattern::squish::{extend_to_side, DeepSquishTensor};
 use diffpattern::{
     hotspot_guidance, repair_conditioning, Conditioning, FrozenRegion, Generation, LibrarySink,
-    PatternService, Pipeline, PipelineConfig, Precision, RequestSpec, TrainedModel,
+    PatternService, Pipeline, PipelineConfig, RequestSpec, TrainedModel,
 };
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -41,31 +43,14 @@ use std::sync::Arc;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `library` carries a positional sub-action (`build`/`stat`/`merge`)
-    // before its `--key value` pairs, so it parses its own tail.
-    if args.first().map(String::as_str) == Some("library") {
-        return match library_cmd(&args[1..]) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let Some((command, options)) = parse(&args) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let result = match command.as_str() {
-        "train" => train(&options),
-        "gen" => generate(&options),
-        "demo" => demo(&options),
-        _ => {
-            eprintln!("unknown command `{command}`\n{USAGE}");
+    let (run, options) = match parse(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    match result {
+    match run(&options) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -77,23 +62,23 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage:
   dpgen train --iters N --model FILE [--seed N] [--steps K]
   dpgen gen   --model FILE --count N --out DIR [--seed N] [--stride N] [--threads N]
-              [--micro-batch N] [--precision exact|bf16] [--rules PRESET]...
+              [--micro-batch N] [--rules PRESET]...
               [--freeze-rect X,Y,W,H] [--freeze-from FILE] [--avoid-hotspots]
   dpgen demo  [--iters N] [--count N] [--seed N] [--threads N]
   dpgen library build --model FILE --out DIR [--count N] [--seed N] [--rules PRESET]...
               [--first-index N] [--segment-bytes N] [--stop-after N] [--threads N]
+              [--micro-batch N] [--iters N]
   dpgen library repair --model FILE --dir DIR [--rules PRESET] [--method NAME]
               [--bucket RULESET] [--seed N] [--threads N] [--micro-batch N]
   dpgen library stat  --dir DIR
-  dpgen library merge --out DIR --shard DIR [--shard DIR]...
+  dpgen library merge --out DIR --shard DIR [--shard DIR]... [--segment-bytes N]
 
 rule presets: standard, larger-space, smaller-area
 (repeat --rules to serve several rule sets from one engine; each preset
 gets its own manifest under OUT/<preset>/)
 
---precision bf16 samples through a bfloat16-weight copy of the model:
-faster U-Net calls, still deterministic per (seed, index), but outputs
-differ from the default exact path.
+Every command that builds the dataset pipeline (all but library stat and
+merge) also takes --steps K and --stride N.
 
 conditional generation (gen): --freeze-rect X,Y,W,H freezes the cells of
 that topology-matrix rectangle (cell coordinates, row 0 at the bottom)
@@ -106,7 +91,8 @@ isolated-cell hotspot motifs. dpgen verifies every delivered pattern
 carries the frozen bits exactly and exits non-zero otherwise.
 
 `library build` appends to a durable content-addressed store (resumable:
-re-running continues from the last valid record). --stop-after N dies
+re-running continues from the last valid record); a missing --model file
+is trained first (--iters N) and saved there. --stop-after N dies
 with exit code 3 after N settled slots, simulating a crash for recovery
 testing. `library repair` re-checks a bucket under a rules preset and
 regenerates every DRC-flagged entry by inpainting: the violating
@@ -120,44 +106,156 @@ shard builds into a fresh store.";
 // `BTreeMap` so any diagnostic listing of options is deterministic.
 type Options = BTreeMap<String, Vec<String>>;
 
+/// A (sub)command's body.
+type Run = fn(&Options) -> Result<(), Box<dyn std::error::Error>>;
+
+/// Every (sub)command with the options it takes and its body.
+const COMMANDS: &[(&str, &[&str], Run)] = &[
+    (
+        "train",
+        &["iters", "model", "weights", "seed", "steps", "stride"],
+        train,
+    ),
+    (
+        "gen",
+        &[
+            "model",
+            "weights",
+            "count",
+            "out",
+            "seed",
+            "threads",
+            "micro-batch",
+            "rules",
+            "freeze-rect",
+            "freeze-from",
+            "avoid-hotspots",
+            "steps",
+            "stride",
+        ],
+        generate,
+    ),
+    (
+        "demo",
+        &["iters", "count", "seed", "threads", "steps", "stride"],
+        demo,
+    ),
+    (
+        "library build",
+        &[
+            "model",
+            "weights",
+            "out",
+            "count",
+            "first-index",
+            "seed",
+            "threads",
+            "micro-batch",
+            "segment-bytes",
+            "stop-after",
+            "rules",
+            "iters",
+            "steps",
+            "stride",
+        ],
+        library_build,
+    ),
+    (
+        "library repair",
+        &[
+            "model",
+            "weights",
+            "dir",
+            "rules",
+            "method",
+            "bucket",
+            "seed",
+            "threads",
+            "micro-batch",
+            "steps",
+            "stride",
+        ],
+        library_repair,
+    ),
+    ("library stat", &["dir"], library_stat),
+    (
+        "library merge",
+        &["out", "shard", "segment-bytes"],
+        library_merge,
+    ),
+];
+
 /// Value-less boolean options: present means `true`.
 const FLAGS: &[&str] = &["avoid-hotspots"];
 
-fn parse(args: &[String]) -> Option<(String, Options)> {
-    let mut it = args.iter();
-    let command = it.next()?.clone();
+/// Options whose value must be a non-negative integer.
+const NUMERIC: &[&str] = &[
+    "iters",
+    "seed",
+    "steps",
+    "stride",
+    "count",
+    "threads",
+    "micro-batch",
+    "first-index",
+    "segment-bytes",
+    "stop-after",
+];
+
+/// Finds the (sub)command `args` names (`library` carries a positional
+/// action before its options) and checks its options: a key the command
+/// does not take, a missing value or a malformed number is an error, the
+/// same strictness as the wire codec.
+fn parse(args: &[String]) -> Result<(Run, Options), String> {
+    let (name, rest) = match args {
+        [library, action, rest @ ..] if library == "library" => (format!("library {action}"), rest),
+        [command, rest @ ..] => (command.clone(), rest),
+        [] => return Err("missing command".into()),
+    };
+    let &(_, allowed, run) = COMMANDS
+        .iter()
+        .find(|(n, ..)| *n == name)
+        .ok_or_else(|| format!("unknown command `{name}`"))?;
     let mut options = Options::new();
-    while let Some(key) = it.next() {
-        let key = key.strip_prefix("--")?;
+    let mut it = rest.iter();
+    while let Some(arg) = it.next() {
+        let key = arg
+            .strip_prefix("--")
+            .ok_or_else(|| format!("`{name}`: unexpected argument `{arg}`"))?;
+        if !allowed.contains(&key) {
+            return Err(format!("`{name}` does not take --{key}"));
+        }
         let value = if FLAGS.contains(&key) {
             "true".to_string()
         } else {
-            it.next()?.clone()
+            it.next()
+                .ok_or_else(|| format!("`{name}`: --{key} needs a value"))?
+                .clone()
         };
+        if NUMERIC.contains(&key) && value.parse::<usize>().is_err() {
+            return Err(format!(
+                "`{name}`: --{key} expects a non-negative integer, got `{value}`"
+            ));
+        }
         options.entry(key.to_string()).or_default().push(value);
     }
-    Some((command, options))
+    Ok((run, options))
 }
 
-/// Last occurrence wins for single-valued numeric options.
+/// Last occurrence wins for single-valued numeric options (all checked
+/// by [`parse`]).
 fn opt_usize(options: &Options, key: &str, default: usize) -> usize {
     options
         .get(key)
         .and_then(|v| v.last())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+        .map_or(default, |v| {
+            v.parse()
+                .expect("parse rejects numeric options that do not parse")
+        })
 }
 
 fn opt_str<'o>(options: &'o Options, key: &str) -> Option<&'o str> {
     options.get(key).and_then(|v| v.last()).map(String::as_str)
-}
-
-fn opt_precision(options: &Options) -> Result<Precision, Box<dyn std::error::Error>> {
-    match opt_str(options, "precision") {
-        None => Ok(Precision::Exact),
-        Some(s) => Precision::parse(s)
-            .ok_or_else(|| format!("unknown precision `{s}` (expected exact or bf16)").into()),
-    }
 }
 
 fn model_path(options: &Options, command: &str) -> Result<String, Box<dyn std::error::Error>> {
@@ -348,7 +446,6 @@ fn generate(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let seed = opt_usize(options, "seed", 43) as u64;
     let threads = opt_usize(options, "threads", 0);
     let micro_batch = opt_usize(options, "micro-batch", 8);
-    let precision = opt_precision(options)?;
     let presets: Vec<String> = options
         .get("rules")
         .cloned()
@@ -368,7 +465,7 @@ fn generate(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         .threads(threads)
         .micro_batch(micro_batch)
         .build()?;
-    let base = pipeline.request_spec(count).seed(seed).precision(precision);
+    let base = pipeline.request_spec(count).seed(seed);
     let frozen = freeze_region(&service, &base, options)?;
     let avoid = options.contains_key("avoid-hotspots");
     let channels = service.model().channels();
@@ -451,19 +548,6 @@ fn write_library(
         )?;
     }
     Ok(())
-}
-
-fn library_cmd(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    let Some((action, options)) = parse(args) else {
-        return Err(format!("`library` needs an action\n{USAGE}").into());
-    };
-    match action.as_str() {
-        "build" => library_build(&options),
-        "repair" => library_repair(&options),
-        "stat" => library_stat(&options),
-        "merge" => library_merge(&options),
-        _ => Err(format!("unknown library action `{action}`\n{USAGE}").into()),
-    }
 }
 
 /// The conditioned repair flow: re-check one bucket of a durable store
@@ -641,7 +725,9 @@ fn library_build(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let threads = opt_usize(options, "threads", 0);
     let micro_batch = opt_usize(options, "micro-batch", 8);
     let segment_bytes = opt_usize(options, "segment-bytes", 256 * 1024) as u64;
-    let stop_after: Option<u64> = opt_str(options, "stop-after").map(str::parse).transpose()?;
+    let stop_after = options
+        .contains_key("stop-after")
+        .then(|| opt_usize(options, "stop-after", 0) as u64);
     let presets: Vec<String> = options
         .get("rules")
         .cloned()
@@ -763,18 +849,16 @@ fn demo(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let mut pipeline = build_pipeline(options, &mut rng)?;
     eprintln!("training {iters} iterations...");
     let _ = pipeline.train(iters, &mut rng)?;
-    let model = pipeline.trained_model()?;
-    let session = pipeline
-        .session_builder(&model)
+    let spec = pipeline.request_spec(count).seed(seed);
+    let service = PatternService::builder(Arc::new(pipeline.into_trained_model()?))
         .threads(threads)
-        .seed(seed)
         .build()?;
-    let batch = session.generate(count)?;
+    let batch = service.generate(&spec)?;
     for g in &batch.items {
         println!(
             "--- pattern {} (DRC clean: {}, attempts {}) ---",
             g.provenance.index,
-            check_pattern(&g.pattern, session.rules()).is_clean(),
+            check_pattern(&g.pattern, &spec.rules).is_clean(),
             g.provenance.attempts
         );
         println!("{}", pattern_to_ascii(&g.pattern, 48, 20));
@@ -783,4 +867,112 @@ fn demo(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("note: {} slots fell short", batch.report.shortfall);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn parsed(line: &str) -> Options {
+        parse(&args(line)).map(|(_, options)| options).unwrap()
+    }
+
+    fn rejected(line: &str) -> String {
+        parse(&args(line)).map(|_| ()).unwrap_err()
+    }
+
+    #[test]
+    fn known_options_parse_with_repeats_and_flags() {
+        let options = parsed(
+            "gen --model m.dpm --count 3 --rules standard --rules larger-space \
+             --avoid-hotspots --seed 9",
+        );
+        assert_eq!(opt_str(&options, "model"), Some("m.dpm"));
+        assert_eq!(opt_usize(&options, "count", 50), 3);
+        assert_eq!(opt_usize(&options, "threads", 7), 7);
+        assert_eq!(options["rules"], ["standard", "larger-space"]);
+        assert_eq!(opt_str(&options, "avoid-hotspots"), Some("true"));
+        let options = parsed("library build --model m --out d --stop-after 4 --count 2 --count 5");
+        assert_eq!(opt_usize(&options, "count", 0), 5);
+        assert_eq!(opt_usize(&options, "stop-after", 0), 4);
+        assert!(parsed("library stat --dir d").contains_key("dir"));
+        assert!(parsed("demo").is_empty());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_per_command() {
+        for line in [
+            "gen --model m --out d --precision exact",
+            "gen --model m --out d --dir x",
+            "train --model m --count 3",
+            "demo --out d",
+            "library stat --dir d --count 1",
+            "library merge --out d --shard s --threads 2",
+            "library repair --model m --dir d --first-index 3",
+        ] {
+            assert!(rejected(line).contains("does not take"), "{line}");
+        }
+    }
+
+    #[test]
+    fn malformed_numbers_and_shapes_are_rejected() {
+        for (line, why) in [
+            ("gen --model m --out d --count 1O", "non-negative integer"),
+            ("demo --threads -1", "non-negative integer"),
+            (
+                "library build --model m --out d --stop-after x",
+                "non-negative integer",
+            ),
+            ("train --model", "needs a value"),
+            ("gen model.dpm", "unexpected argument"),
+            ("frobnicate --count 1", "unknown command"),
+            ("library", "unknown command"),
+            ("library compact --dir d", "unknown command"),
+            ("", "missing command"),
+        ] {
+            assert!(rejected(line).contains(why), "{line}: {}", rejected(line));
+        }
+    }
+
+    #[test]
+    fn usage_documents_every_option_each_command_takes() {
+        // The option tables and the usage text must not drift apart: each
+        // command's usage entry names every option it takes, apart from
+        // the legacy `--weights` alias and the shared `--steps`/`--stride`
+        // note, and every numeric option and flag belongs to a command.
+        assert!(USAGE.contains("also takes --steps K and --stride N"));
+        for (name, allowed, _) in COMMANDS {
+            let start = USAGE
+                .find(&format!("dpgen {name} "))
+                .unwrap_or_else(|| panic!("no usage entry for `{name}`"));
+            let entry = &USAGE[start..];
+            let end = ["\n  dpgen", "\n\n"]
+                .iter()
+                .filter_map(|sep| entry.find(sep))
+                .min()
+                .unwrap_or(entry.len());
+            let words: Vec<&str> = entry[..end]
+                .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+                .collect();
+            for key in allowed
+                .iter()
+                .filter(|key| !["weights", "steps", "stride"].contains(key))
+            {
+                assert!(
+                    words.contains(&format!("--{key}").as_str()),
+                    "usage of `{name}` does not mention --{key}"
+                );
+            }
+        }
+        for key in NUMERIC.iter().chain(FLAGS) {
+            assert!(
+                COMMANDS.iter().any(|(_, allowed, _)| allowed.contains(key)),
+                "--{key} belongs to no command"
+            );
+        }
+    }
 }

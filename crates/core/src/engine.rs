@@ -1,7 +1,6 @@
-//! The shared generation engine behind [`crate::PatternService`] and
-//! [`crate::GenerationSession`]: a request scheduler whose workers fill
-//! each denoising micro-batch with lanes drawn from **multiple pending
-//! requests**.
+//! The generation engine behind [`crate::PatternService`]: a request
+//! scheduler whose workers fill each denoising micro-batch with lanes
+//! drawn from **multiple pending requests**.
 //!
 //! Every requested item is a *lane* with its own RNG derived from
 //! `(request seed, item index)` (splitmix64 finaliser). Because the
@@ -13,20 +12,18 @@
 //! admission order, concurrent load, priorities) chooses *when* a lane
 //! runs, never *what* it produces.
 //!
-//! The module is internal; the public faces are [`crate::PatternService`]
-//! (persistent workers over an owned `Arc<TrainedModel>`) and
-//! [`crate::GenerationSession`] (one-shot scoped workers over a borrowed
-//! model). Both run [`run_worker`] verbatim, so every session test also
-//! exercises the service core.
+//! The module is internal; its public face is [`crate::PatternService`],
+//! whose persistent workers over an owned `Arc<TrainedModel>` each run
+//! [`run_worker`].
 
 use crate::{GenerateError, Generated, PipelineReport, Provenance};
-use dp_diffusion::{BatchScratch, Conditioning, Precision, Sampler, TrainedModel};
+use dp_diffusion::{BatchScratch, Conditioning, Sampler, TrainedModel};
 use dp_geometry::{bowtie, BitGrid};
 use dp_legalize::{Init, Solver};
 use dp_squish::{DeepSquishTensor, SquishPattern};
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// What a finished lane hands back through its request's channel.
@@ -64,17 +61,12 @@ pub(crate) struct RequestJob {
     /// RNG stream from `item_seed(seed, first_index + i)`, so a request
     /// is an exact sub-range of the `(seed, index)` item space.
     pub(crate) first_index: usize,
-    /// Reverse-sampling stride; with `precision` and the conditioning
-    /// hash it forms the [`LanePlan`] key: lanes may share a lock-step
-    /// micro-batch only when they traverse the same denoising step
-    /// sequence through the same model under the same constraints.
+    /// Reverse-sampling stride; with the conditioning hash it forms the
+    /// [`LanePlan`] key: lanes may share a lock-step micro-batch only when
+    /// they traverse the same denoising step sequence under the same
+    /// constraints.
     pub(crate) stride: usize,
-    /// Which prepacked model variant evaluates this request's lanes
-    /// ([`Precision::Exact`] keeps the bit-exact contract; `Bf16` runs the
-    /// engine's lazily-built reduced-precision copy). Part of the plan
-    /// key alongside `stride`.
-    pub(crate) precision: Precision,
-    /// The retained denoising steps for `stride > 1` (precomputed once).
+    /// The retained denoising steps for `stride` (precomputed once).
     pub(crate) retained: Arc<[usize]>,
     /// Per-lane sampling constraints (frozen region, motif guidance) —
     /// every lane of the request samples under the same conditioning.
@@ -82,7 +74,7 @@ pub(crate) struct RequestJob {
     /// exact random sequence the pre-conditioning sampler drew.
     pub(crate) conditioning: Arc<Conditioning>,
     /// [`Conditioning::plan_hash`] of `conditioning`, precomputed at
-    /// submit: the third component of the micro-batch plan key (lanes
+    /// submit: the second component of the micro-batch plan key (lanes
     /// only share a lock-step batch when their conditioning matches).
     pub(crate) cond_hash: u64,
     pub(crate) max_attempts: usize,
@@ -96,15 +88,13 @@ pub(crate) struct RequestJob {
 }
 
 /// The micro-batch *plan key*: the sampling parameters every lane of a
-/// lock-step chunk must agree on. Stride and precision decide which
-/// denoising steps run through which model variant; the conditioning
-/// hash keeps differently-constrained lanes out of each other's batches
-/// (the batched sampler applies one [`Conditioning`] to the whole
-/// chunk).
+/// lock-step chunk must agree on. The stride decides which denoising
+/// steps run; the conditioning hash keeps differently-constrained lanes
+/// out of each other's batches (the batched sampler applies one
+/// [`Conditioning`] to the whole chunk).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LanePlan {
     stride: usize,
-    precision: Precision,
     cond_hash: u64,
 }
 
@@ -112,7 +102,6 @@ impl LanePlan {
     fn of(job: &RequestJob) -> Self {
         LanePlan {
             stride: job.stride,
-            precision: job.precision,
             cond_hash: job.cond_hash,
         }
     }
@@ -155,27 +144,19 @@ struct Sched {
 }
 
 /// The scheduler: a queue of admitted requests plus the sampling
-/// geometry workers need to draw lanes. Workers block on the condvar in
-/// service mode and exit when idle in one-shot (session) mode.
+/// geometry workers need to draw lanes. Idle workers park on the condvar
+/// until work arrives or the engine shuts down.
 pub(crate) struct Engine {
     sampler: Sampler,
     channels: usize,
     side: usize,
     micro_batch: usize,
-    /// One-shot mode: workers return instead of parking when the queue is
-    /// empty (used by `GenerationSession`'s scoped workers).
-    exit_when_idle: bool,
     /// Admission bound on *pending* (not yet fully claimed) requests;
     /// 0 means unbounded.
     max_queued: usize,
     /// Lanes claimed by workers whose result message has not been
     /// delivered yet — the live load figure `/metrics` exposes.
     lanes_in_flight: AtomicUsize,
-    /// The bf16-prepacked model copy, built from the workers' exact model
-    /// on the first [`Precision::Bf16`] chunk and shared by every worker
-    /// thereafter (the master weights are identical, only the packed GEMM
-    /// panels differ — see [`TrainedModel::with_precision`]).
-    bf16_model: OnceLock<TrainedModel>,
     sched: Mutex<Sched>,
     work: Condvar,
 }
@@ -201,7 +182,6 @@ impl Engine {
         channels: usize,
         side: usize,
         micro_batch: usize,
-        exit_when_idle: bool,
         max_queued: usize,
     ) -> Self {
         Engine {
@@ -209,10 +189,8 @@ impl Engine {
             channels,
             side,
             micro_batch: micro_batch.max(1),
-            exit_when_idle,
             max_queued,
             lanes_in_flight: AtomicUsize::new(0),
-            bf16_model: OnceLock::new(),
             sched: Mutex::new(Sched {
                 queue: Vec::new(),
                 next_seq: 0,
@@ -384,11 +362,11 @@ impl Engine {
     /// Claims the next micro-batch of lanes, drawing from as many pending
     /// requests as needed to fill it (the cross-request batching at the
     /// heart of the service). All claimed lanes share one [`LanePlan`]
-    /// (stride, precision and conditioning); requests on a different plan
-    /// wait for their own batch.
+    /// (stride and conditioning); requests on a different plan wait for
+    /// their own batch.
     ///
-    /// Returns `None` when the engine is shut down, or — in one-shot mode
-    /// — when no claimable work remains.
+    /// Parks while nothing is claimable; returns `None` once the engine
+    /// is shut down.
     fn claim(&self) -> Option<Vec<Lane>> {
         let mut sched = self.lock_sched();
         loop {
@@ -407,7 +385,6 @@ impl Engine {
             let mut lanes: Vec<Lane> = Vec::new();
             let mut plan = LanePlan {
                 stride: 0,
-                precision: Precision::Exact,
                 cond_hash: 0,
             };
             let mut i = 0;
@@ -446,9 +423,6 @@ impl Engine {
                     .fetch_add(lanes.len(), Ordering::Relaxed);
                 return Some(lanes);
             }
-            if self.exit_when_idle {
-                return None;
-            }
             // Park until new work arrives — or, when some queued request
             // carries a deadline, at most until that deadline, so expiry
             // is observed by an otherwise idle pool.
@@ -482,15 +456,6 @@ impl Engine {
     /// produced is discarded by the dead channel.
     fn process_chunk(&self, model: &TrainedModel, lanes: &mut [Lane], scratch: &mut BatchScratch) {
         let (channels, side) = (self.channels, self.side);
-        // All lanes of a chunk share one plan (claim's invariant), so the
-        // model variant is a per-chunk choice. The bf16 copy is built once
-        // per engine, on first use, and shared by every worker.
-        let model = match lanes.first().map(|l| l.req.job.precision) {
-            Some(Precision::Bf16) => self
-                .bf16_model
-                .get_or_init(|| model.with_precision(Precision::Bf16)),
-            _ => model,
-        };
         loop {
             // dp-lint: allow(nondeterministic-time): deadline observation between rounds; never reaches pattern bytes
             let now = Instant::now();
@@ -508,9 +473,7 @@ impl Engine {
             // All active lanes share one plan (claim's invariant), so the
             // first active lane's retained steps and conditioning describe
             // the whole round. `retained` is the full `1..=K` chain for
-            // stride 1 and the respaced subset otherwise — the conditioned
-            // batch core runs both bit-identically to the dedicated entry
-            // points it replaced.
+            // stride 1 and the respaced subset otherwise.
             let Some(plan) = lanes.iter().find(|l| l.active).map(|l| {
                 (
                     Arc::clone(&l.req.job.retained),
@@ -649,32 +612,18 @@ fn finish_lane(
     }
 }
 
-/// The worker loop both engines run: claim a cross-request micro-batch,
-/// drive it to completion with one reused [`BatchScratch`], deliver each
-/// lane's message to its own request, repeat until the engine says stop.
+/// The worker loop: claim a cross-request micro-batch, drive it to
+/// completion with one reused [`BatchScratch`], deliver each lane's
+/// message to its own request, repeat until the engine shuts down.
 ///
 /// Messages are sent in lane order, so a single worker serving a single
-/// request streams items in index order — the `GenerationSession`
-/// contract PR 2 documented.
-pub(crate) fn run_worker(model: &TrainedModel, engine: &Engine) {
-    run_worker_observed(model, engine, || true);
-}
-
-/// [`run_worker`] with a hook invoked after each chunk's messages are
-/// delivered; returning `false` stops the loop (the session's inline
-/// single-worker path uses it to drain the request channel between
-/// chunks — keeping `generate_streaming` incremental and the channel
-/// short — and to fail fast on the first structural error).
+/// request streams items in index order.
 ///
 /// If the loop unwinds (a panic anywhere in sampling or solving), the
 /// engine is shut down on the way out: queued requests' senders drop, so
 /// outstanding `RequestHandle`s disconnect instead of blocking forever
 /// on a pool that lost its worker. The panic still propagates.
-pub(crate) fn run_worker_observed(
-    model: &TrainedModel,
-    engine: &Engine,
-    mut after_chunk: impl FnMut() -> bool,
-) {
+pub(crate) fn run_worker(model: &TrainedModel, engine: &Engine) {
     struct PanicGuard<'e> {
         engine: &'e Engine,
         finished: bool,
@@ -707,72 +656,8 @@ pub(crate) fn run_worker_observed(
             });
             engine.lanes_in_flight.fetch_sub(1, Ordering::Relaxed);
         }
-        if !after_chunk() {
-            break;
-        }
     }
     guard.finished = true;
-}
-
-/// Shared request-parameter validation: both `SessionBuilder::build` and
-/// `PatternService::submit` gate on it, so a spec rejected by one path
-/// can never slip through the other.
-pub(crate) fn validate_request(
-    stride: usize,
-    max_attempts: usize,
-    matrix_side: usize,
-    solver: &dp_legalize::SolverConfig,
-) -> Result<(), crate::ConfigError> {
-    if stride == 0 {
-        return Err(crate::ConfigError::ZeroStride);
-    }
-    if max_attempts == 0 {
-        return Err(crate::ConfigError::ZeroAttempts);
-    }
-    if (matrix_side as i64) > solver.target_width || (matrix_side as i64) > solver.target_height {
-        return Err(crate::ConfigError::WindowTooSmall {
-            matrix_side,
-            target_width: solver.target_width,
-            target_height: solver.target_height,
-        });
-    }
-    Ok(())
-}
-
-/// Resolves a `threads` knob: 0 means the machine's available
-/// parallelism (shared by the session and service builders).
-pub(crate) fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-}
-
-/// Legalizes one topology into up to `variants` distinct patterns with
-/// full failure accounting — shared by
-/// `GenerationSession::legalize_variants` and `DiffusionVariantsSource`.
-pub(crate) fn legalize_variants_with(
-    solver: &Solver,
-    topology: &BitGrid,
-    variants: usize,
-    rng: &mut impl Rng,
-) -> Result<(Vec<SquishPattern>, PipelineReport), GenerateError> {
-    let solve = solver.solve_many_report(topology, variants, rng);
-    let mut report = PipelineReport {
-        solver_failures: solve.failures,
-        ..PipelineReport::default()
-    };
-    let mut patterns = Vec::with_capacity(solve.solutions.len());
-    for s in solve.solutions {
-        let pattern =
-            SquishPattern::new(topology.clone(), s.dx, s.dy).map_err(GenerateError::Assembly)?;
-        report.legal_patterns += 1;
-        patterns.push(pattern);
-    }
-    Ok((patterns, report))
 }
 
 /// Derives the per-item RNG seed from the request seed and item index

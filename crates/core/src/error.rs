@@ -69,8 +69,8 @@ impl From<GenerateError> for PipelineError {
     }
 }
 
-/// A rejected configuration — returned by the builders
-/// ([`crate::GenerationSession::builder`], [`crate::Pipeline::from_tiles`])
+/// A rejected configuration — returned by [`crate::ServiceBuilder::build`],
+/// [`crate::PatternService::submit`] and [`crate::Pipeline::from_tiles`]
 /// instead of panicking, so services can validate untrusted configs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]

@@ -23,22 +23,20 @@
 //!   (weights + schedule + fold geometry, `TrainedModel::save`/`load` for
 //!   persistence) — every operation takes `&self`, so one model serves any
 //!   number of threads;
-//! * [`PatternService`] is the serving engine: an owned, long-lived pool
-//!   over an `Arc<TrainedModel>` that multiplexes many concurrent
-//!   requests and fills every denoising micro-batch **across requests**,
-//!   streaming each request's items through a `'static` [`RequestHandle`]
-//!   that cancels on drop — with output bit-identical regardless of
-//!   concurrent load, worker count, or admission order;
+//! * [`PatternService`] is the one generation API: an owned, long-lived
+//!   pool over an `Arc<TrainedModel>` that takes plain-data
+//!   [`RequestSpec`]s (validated at submit, [`ConfigError`] instead of a
+//!   panic), multiplexes many concurrent requests and fills every
+//!   denoising micro-batch **across requests**, streaming each request's
+//!   [`Generated`] items with full [`Provenance`] through a `'static`
+//!   [`RequestHandle`] that cancels on drop — with output bit-identical
+//!   per seed regardless of concurrent load, worker count, micro-batch
+//!   size, or admission order;
 //! * [`Conditioning`] makes any request conditional: frozen-region
 //!   inpainting ([`FrozenRegion`]) and hotspot-avoidance guidance
 //!   ([`MotifGuidance`]) ride on [`RequestSpec`] per lane — recipes in
 //!   [`hotspot_guidance`] and [`repair_conditioning`] — without changing
 //!   the determinism contract;
-//! * [`GenerationSession`] is the borrowing, single-request flavour of the
-//!   same engine: builder-configured, fallible
-//!   ([`ConfigError`]/[`GenerateError`]), thread-parallel and
-//!   **deterministic per seed regardless of thread count**, streaming
-//!   [`Generated`] items with full [`Provenance`];
 //! * [`PatternSource`] unifies the diffusion path and all four baseline
 //!   generators behind one interface for the comparison harnesses
 //!   ([`table1`], [`table2`]) and the `dpgen` CLI;
@@ -47,8 +45,9 @@
 //! # Quickstart
 //!
 //! ```no_run
-//! use diffpattern::{GenerationSession, Pipeline, PipelineConfig};
+//! use diffpattern::{PatternService, Pipeline, PipelineConfig};
 //! use rand::SeedableRng;
+//! use std::sync::Arc;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
@@ -58,12 +57,13 @@
 //! pipeline.train(200, &mut rng)?;
 //!
 //! // Freeze: an immutable, shareable, saveable model.
-//! let model = pipeline.trained_model()?;
+//! let spec = pipeline.request_spec(16).seed(7);
+//! let model = pipeline.into_trained_model()?;
 //! std::fs::write("model.dpm", model.save())?;
 //!
 //! // Infer: batch generation across all cores, bit-identical per seed.
-//! let session = pipeline.session_builder(&model).seed(7).build()?;
-//! let batch = session.generate(16)?;
+//! let service = PatternService::builder(Arc::new(model)).build()?;
+//! let batch = service.generate(&spec)?;
 //! println!(
 //!     "generated {} legal patterns ({} slots fell short)",
 //!     batch.items.len(),
@@ -72,43 +72,6 @@
 //! # Ok(())
 //! # }
 //! ```
-//!
-//! # Serving many requests: `GenerationSession` → `PatternService`
-//!
-//! A session is the right tool for one borrower generating batches; a
-//! service is the right tool for a long-lived process answering many
-//! small requests (per-ruleset libraries, rule sweeps, concurrent
-//! callers). The mapping:
-//!
-//! | `GenerationSession` | `PatternService` |
-//! |---|---|
-//! | `GenerationSession::builder(&model)` | [`PatternService::builder`]`(Arc<TrainedModel>)` |
-//! | builder `rules`/`solver_config`/`sample_stride`/… | per-request [`RequestSpec`] fields |
-//! | builder `threads` / `micro_batch` | service-level pool knobs (shared by all requests) |
-//! | `session.generate(count)` | `service.submit(&spec)?` + [`RequestHandle::wait`] |
-//! | `session.generate_streaming(count, f)` | iterate the [`RequestHandle`] |
-//! | `session.sample_topologies(count)` | [`PatternService::sample_topologies`] |
-//! | fresh worker pool per call | persistent pool, micro-batches filled **across requests** |
-//! | abandon = wait for the call | drop the [`RequestHandle`] = cancel |
-//!
-//! Both run the same scheduler core, so the determinism contract is
-//! shared: a request/batch is fully determined by its seed and spec,
-//! bit-identical at every thread count, micro-batch size, priority, and
-//! concurrent load.
-//!
-//! # Migrating from the monolithic `Pipeline` API
-//!
-//! The pre-0.2 `Pipeline` generation shims (deprecated since 0.2) were
-//! removed in 0.3:
-//!
-//! | Removed | Replacement |
-//! |---|---|
-//! | `Pipeline::generate_legal_patterns` | [`GenerationSession::generate`] / [`PatternService::generate`] |
-//! | `Pipeline::generate_topologies` | [`GenerationSession::sample_topologies`] |
-//! | `Pipeline::legalize_topologies` | [`GenerationSession::generate`] (one pass) |
-//! | `Pipeline::legalize_variants` | [`GenerationSession::legalize_variants`] |
-//! | `Pipeline::denoiser_mut` + `dp_nn::save_params` | [`TrainedModel::save`] |
-//! | `dp_nn::load_params` + `Pipeline::mark_trained` | [`TrainedModel::load`] |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -121,7 +84,6 @@ pub mod metrics;
 mod pipeline;
 pub mod render;
 mod service;
-mod session;
 mod source;
 pub mod table1;
 pub mod table2;
@@ -132,15 +94,15 @@ pub use library_sink::{LibrarySink, SinkError, SinkReport};
 pub use metrics::{evaluate_patterns, MethodRow};
 pub use pipeline::{BackboneConfig, Pipeline, PipelineConfig, PipelineReport};
 pub use service::{
-    PatternService, RecvPoll, RequestHandle, RequestSpec, ServiceBuilder, ServiceStats,
+    Generated, Generation, PatternService, Provenance, RecvPoll, RequestHandle, RequestSpec,
+    ServiceBuilder, ServiceStats,
 };
-pub use session::{Generated, Generation, GenerationSession, Provenance, SessionBuilder};
 pub use source::{
     DiffusionSource, DiffusionVariantsSource, PatternSource, PixelSource, SequenceSource,
     SourceBatch,
 };
 
-pub use dp_diffusion::{Conditioning, FrozenRegion, Motif, MotifGuidance, Precision, TrainedModel};
+pub use dp_diffusion::{Conditioning, FrozenRegion, Motif, MotifGuidance, TrainedModel};
 
 pub use dp_baselines as baselines;
 pub use dp_datagen as datagen;

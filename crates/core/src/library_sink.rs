@@ -16,8 +16,7 @@
 //! the `dpgen library build --stop-after` path honest: dropping
 //! mid-drain loses exactly the uncommitted tail, nothing else.
 
-use crate::service::RequestHandle;
-use crate::session::Generated;
+use crate::service::{Generated, RequestHandle};
 use dp_library::{IngestOutcome, LibraryError, LibraryWriter};
 use std::collections::BTreeMap;
 

@@ -1,4 +1,4 @@
-use crate::{ConfigError, GenerationSession, PipelineError, RequestSpec, SessionBuilder};
+use crate::{ConfigError, PipelineError, RequestSpec};
 use dp_datagen::{
     build_dataset, split_into_tiles, Dataset, DatasetConfig, GeneratorConfig, LayoutMapGenerator,
 };
@@ -53,7 +53,7 @@ pub struct PipelineConfig {
     /// Reverse-sampling stride. 1 runs the full ancestral chain (paper
     /// Eq. 13); larger values use the respaced DDIM-style sampler with
     /// `K / stride` denoiser calls per topology (see
-    /// [`dp_diffusion::Sampler::sample_respaced`]).
+    /// [`dp_diffusion::Sampler::strided_steps`]).
     pub sample_stride: usize,
     /// Pre-filter policy. `false` is the paper's behaviour: topologies with
     /// bow-ties are rejected outright (the paper reports < 0.1 % rejection
@@ -234,11 +234,8 @@ impl PipelineReport {
 /// `Pipeline` is the *training* facade: it builds the dataset and drives
 /// the trainer. For inference, freeze the trained state with
 /// [`Pipeline::trained_model`] (or [`Pipeline::into_trained_model`]) and
-/// generate through a [`GenerationSession`]
-/// (see [`Pipeline::session_builder`]) or a long-lived
-/// [`crate::PatternService`] (see [`Pipeline::request_spec`]). The
-/// pre-0.2 generation shims were removed in 0.3 — the migration table
-/// lives in the [crate docs](crate).
+/// generate through a [`crate::PatternService`], with requests built by
+/// [`Pipeline::request_spec`].
 #[derive(Debug)]
 pub struct Pipeline {
     config: PipelineConfig,
@@ -349,23 +346,10 @@ impl Pipeline {
         Ok(self.trainer.finish()?)
     }
 
-    /// Starts a [`GenerationSession`] builder over `model`, pre-populated
-    /// with this pipeline's rules, solver window, sampling stride,
-    /// pre-filter policy and Solving-E donors (the extended dataset
-    /// patterns, as the paper prescribes).
-    pub fn session_builder<'m>(&self, model: &'m TrainedModel) -> SessionBuilder<'m> {
-        GenerationSession::builder(model)
-            .rules(self.config.rules)
-            .solver_config(self.config.solver)
-            .sample_stride(self.config.sample_stride)
-            .repair_bowties(self.config.repair_bowties)
-            .donors(self.dataset.extended.clone())
-    }
-
     /// Builds a [`RequestSpec`] for `count` patterns, pre-populated with
     /// this pipeline's rules, solver window, sampling stride, pre-filter
-    /// policy and Solving-E donors — the [`crate::PatternService`]
-    /// counterpart of [`Pipeline::session_builder`].
+    /// policy and Solving-E donors (the extended dataset patterns, as the
+    /// paper prescribes).
     pub fn request_spec(&self, count: usize) -> RequestSpec {
         RequestSpec {
             count,
@@ -382,12 +366,19 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PatternService;
     use rand::SeedableRng;
+    use std::sync::Arc;
 
     fn tiny_pipeline(seed: u64) -> (Pipeline, rand::rngs::StdRng) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let pipeline = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng).unwrap();
         (pipeline, rng)
+    }
+
+    fn service(pipeline: &Pipeline) -> PatternService {
+        let model = Arc::new(pipeline.trained_model().unwrap());
+        PatternService::builder(model).build().unwrap()
     }
 
     #[test]
@@ -415,9 +406,9 @@ mod tests {
         let (mut pipeline, mut rng) = tiny_pipeline(2);
         let report = pipeline.train(6, &mut rng).unwrap();
         assert_eq!(report.losses.len(), 6);
-        let model = pipeline.trained_model().unwrap();
-        let session = pipeline.session_builder(&model).seed(2).build().unwrap();
-        let batch = session.generate(3).unwrap();
+        let batch = service(&pipeline)
+            .generate(&pipeline.request_spec(3).seed(2))
+            .unwrap();
         // Every returned pattern must be DRC-clean: the 100 % legality
         // claim is structural.
         for g in &batch.items {
@@ -431,65 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn variants_share_topology_and_are_legal() {
-        let (mut pipeline, mut rng) = tiny_pipeline(3);
-        let _ = pipeline.train(4, &mut rng).unwrap();
-        let model = pipeline.trained_model().unwrap();
-        let session = pipeline.session_builder(&model).seed(3).build().unwrap();
-        let (topos, _) = session.sample_topologies(1);
-        if topos.is_empty() {
-            return; // extremely unlucky sampling; covered by other seeds
-        }
-        let (variants, report) = session.legalize_variants(&topos[0], 4, &mut rng).unwrap();
-        for v in &variants {
-            assert_eq!(v.topology(), &topos[0]);
-            assert!(dp_drc::check_pattern(v, &pipeline.config().rules).is_clean());
-        }
-        assert_eq!(report.legal_patterns, variants.len());
-    }
-
-    #[test]
-    fn variant_failures_are_counted() {
-        // Infeasible rules: every requested variant must surface as a
-        // solver failure instead of silently shrinking the result.
-        let (mut pipeline, mut rng) = tiny_pipeline(7);
-        let _ = pipeline.train(3, &mut rng).unwrap();
-        let model = pipeline.trained_model().unwrap();
-        let sampling_session = pipeline.session_builder(&model).seed(7).build().unwrap();
-        let harsh_session = pipeline
-            .session_builder(&model)
-            .rules(
-                DesignRules::builder()
-                    .space_min(900)
-                    .width_min(900)
-                    .area_range(1, i128::MAX / 4)
-                    .build()
-                    .unwrap(),
-            )
-            .solver_config(SolverConfig {
-                max_iterations: 30,
-                max_restarts: 1,
-                ..SolverConfig::for_window(2048, 2048)
-            })
-            .build()
-            .unwrap();
-        let (topos, _) = sampling_session.sample_topologies(1);
-        if topos.is_empty() || topos[0].count_ones() == 0 {
-            return; // nothing to legalize → nothing to fail
-        }
-        let (variants, report) = harsh_session
-            .legalize_variants(&topos[0], 3, &mut rng)
-            .unwrap();
-        assert_eq!(report.solver_failures + variants.len(), 3);
-    }
-
-    #[test]
     fn prefilter_rate_is_tracked() {
         let (mut pipeline, mut rng) = tiny_pipeline(4);
         let _ = pipeline.train(4, &mut rng).unwrap();
-        let model = pipeline.trained_model().unwrap();
-        let session = pipeline.session_builder(&model).seed(4).build().unwrap();
-        let (topos, r) = session.sample_topologies(4);
+        let (topos, r) = service(&pipeline)
+            .sample_topologies(&pipeline.request_spec(4).seed(4))
+            .unwrap();
         assert!(r.prefilter_rate() >= 0.0 && r.prefilter_rate() <= 1.0);
         // Exact accounting: in topology-only mode every sampled attempt is
         // either delivered (repaired ones are delivered) or rejected.
@@ -505,9 +443,9 @@ mod tests {
         config.sample_stride = 5;
         let mut pipeline = Pipeline::from_synthetic_map(config, &mut rng).unwrap();
         let _ = pipeline.train(4, &mut rng).unwrap();
-        let model = pipeline.trained_model().unwrap();
-        let session = pipeline.session_builder(&model).seed(5).build().unwrap();
-        let (topos, _) = session.sample_topologies(2);
+        let (topos, _) = service(&pipeline)
+            .sample_topologies(&pipeline.request_spec(2).seed(5))
+            .unwrap();
         assert_eq!(topos.len(), 2);
         for t in &topos {
             assert_eq!((t.width(), t.height()), (32, 32));

@@ -1,22 +1,19 @@
-//! [`PatternService`]: a long-lived, multi-request generation engine with
-//! **cross-request micro-batching**.
+//! [`PatternService`]: the generation API — a long-lived, multi-request
+//! engine with **cross-request micro-batching**.
 //!
-//! Where a [`crate::GenerationSession`] borrows a model and spins up a
-//! worker pool per `generate()` call, a service *owns* an
-//! [`Arc<TrainedModel>`] and keeps a **persistent worker pool** that
-//! multiplexes many concurrent requests: every denoising micro-batch is
-//! filled with lanes drawn from as many pending requests as needed, so
-//! eight concurrent `count = 2` requests sample at batch 8 instead of
-//! eight times at batch 2. Handles are `'static` and `Send`, the service
-//! itself is cheaply clonable (clones share the engine), and dropping a
-//! [`RequestHandle`] cancels its remaining work.
+//! A service *owns* an [`Arc<TrainedModel>`] and keeps a **persistent
+//! worker pool** that multiplexes many concurrent requests: every
+//! denoising micro-batch is filled with lanes drawn from as many pending
+//! requests as needed, so eight concurrent `count = 2` requests sample at
+//! batch 8 instead of eight times at batch 2. Handles are `'static` and
+//! `Send`, the service itself is cheaply clonable (clones share the
+//! engine), and dropping a [`RequestHandle`] cancels its remaining work.
 //!
 //! # Determinism under load
 //!
 //! A request's output is **bit-identical regardless of concurrent load,
-//! worker count, or admission order** — the same invariant the session
-//! pinned for intra-call batching, extended across requests. The argument
-//! has three independent layers:
+//! worker count, micro-batch size, or admission order**. The argument has
+//! three independent layers:
 //!
 //! 1. every lane (batch slot) derives its RNG from
 //!    `splitmix64(request seed, item index)` — nothing it draws depends on
@@ -60,16 +57,53 @@
 //! ```
 
 use crate::engine::{self, Engine, LaneMsg, Mode, Payload, RequestJob};
-use crate::{ConfigError, GenerateError, Generated, Generation, PipelineError, PipelineReport};
-use dp_diffusion::{Conditioning, Precision, TrainedModel};
+use crate::{ConfigError, GenerateError, PipelineError, PipelineReport};
+use dp_diffusion::{Conditioning, TrainedModel};
 use dp_drc::DesignRules;
 use dp_geometry::BitGrid;
-use dp_legalize::{Solver, SolverConfig};
+use dp_legalize::{SolveStats, Solver, SolverConfig};
 use dp_squish::SquishPattern;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Where a generated pattern came from: enough to reproduce it exactly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Provenance {
+    /// Position of this item in the requested batch.
+    pub index: usize,
+    /// The per-item RNG seed (derived from the request seed and `index`).
+    pub seed: u64,
+    /// Sampling attempts consumed, including the successful one.
+    pub attempts: usize,
+    /// Whether the bow-tie pre-filter repaired the topology.
+    pub repaired: bool,
+    /// Convergence statistics of the legalization solve.
+    pub solve: SolveStats,
+}
+
+/// One streamed generation result: a DRC-clean pattern plus its
+/// [`Provenance`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Generated {
+    /// The legal squish pattern.
+    pub pattern: SquishPattern,
+    /// How it was produced.
+    pub provenance: Provenance,
+}
+
+/// A completed batch: items in batch-index order plus the aggregated
+/// per-lane reports.
+#[derive(Debug, Clone)]
+pub struct Generation {
+    /// The generated patterns, sorted by [`Provenance::index`].
+    pub items: Vec<Generated>,
+    /// Merged statistics of every lane, including the
+    /// [`PipelineReport::shortfall`] count of batch slots that exhausted
+    /// their attempt budget.
+    pub report: PipelineReport,
+}
 
 /// Everything one generation request carries: what to generate, under
 /// which rules, and how urgently. Plain data — build one with
@@ -112,14 +146,6 @@ pub struct RequestSpec {
     /// Reverse-sampling stride: 1 runs the full ancestral chain, larger
     /// values use the respaced sampler with `K / stride` denoiser calls.
     pub sample_stride: usize,
-    /// Which prepacked model variant runs this request's U-Net calls.
-    /// [`Precision::Exact`] (the default) keeps the service's bit-exact
-    /// determinism contract. [`Precision::Bf16`] evaluates a
-    /// bfloat16-weight copy of the model (built lazily, once per service)
-    /// — still deterministic for a given `(seed, index)`, but its outputs
-    /// differ from the exact path's. Lanes only share a micro-batch with
-    /// lanes of the same precision.
-    pub precision: Precision,
     /// Per-item sampling attempt budget before the slot is counted as
     /// shortfall.
     pub max_attempts: usize,
@@ -151,10 +177,10 @@ pub struct RequestSpec {
 }
 
 impl RequestSpec {
-    /// A spec for `count` patterns with the same defaults as
-    /// [`crate::SessionBuilder`]: standard rules, the paper's 2048 nm
-    /// window, full-chain sampling, 4 attempts, repair on, priority 0,
-    /// seed 0, no donors.
+    /// A spec for `count` patterns with working defaults: standard rules,
+    /// the paper's 2048 nm window, full-chain sampling, 4 attempts, repair
+    /// on, priority 0, seed 0, first index 0, no donors, no conditioning,
+    /// no deadline.
     pub fn new(count: usize) -> Self {
         RequestSpec {
             count,
@@ -164,7 +190,6 @@ impl RequestSpec {
             rules: DesignRules::standard(),
             solver: SolverConfig::for_window(2048, 2048),
             sample_stride: 1,
-            precision: Precision::Exact,
             max_attempts: 4,
             repair_bowties: true,
             donors: Arc::from([]),
@@ -184,13 +209,6 @@ impl RequestSpec {
     /// [`RequestSpec::deadline`] field for the expiry semantics).
     pub fn deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Returns the spec with the given model precision (see the
-    /// [`RequestSpec::precision`] field for the accuracy trade-off).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 
@@ -228,7 +246,8 @@ pub struct ServiceBuilder {
 
 impl ServiceBuilder {
     /// Persistent worker thread count; 0 (the default) uses the machine's
-    /// available parallelism.
+    /// available parallelism. Each worker runs its GEMMs single-threaded:
+    /// the pool is the parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -272,30 +291,26 @@ impl ServiceBuilder {
         if self.micro_batch == 0 {
             return Err(ConfigError::ZeroMicroBatch);
         }
-        let threads = engine::resolve_threads(self.threads);
+        let threads = match self.threads {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            n => n,
+        };
         let engine = Arc::new(Engine::new(
             self.model.sampler(),
             self.model.channels(),
             self.model.side(),
             self.micro_batch,
-            false,
             self.max_queued,
         ));
         let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let model = Arc::clone(&self.model);
             let engine = Arc::clone(&engine);
-            let multi = threads > 1;
+            // Inner GEMM threads measured slower than one thread per
+            // worker even for a lone worker (output bytes are the same
+            // either way), so the pool is the only parallelism.
             workers.push(std::thread::spawn(move || {
-                if multi {
-                    // The pool is already data-parallel; nesting GEMM
-                    // threads inside the workers would oversubscribe.
-                    dp_nn::with_inner_gemm_parallelism(false, || {
-                        engine::run_worker(&model, &engine)
-                    })
-                } else {
-                    engine::run_worker(&model, &engine)
-                }
+                dp_nn::with_inner_gemm_parallelism(false, || engine::run_worker(&model, &engine))
             }));
         }
         Ok(PatternService {
@@ -459,12 +474,21 @@ impl PatternService {
     }
 
     fn submit_mode(&self, spec: &RequestSpec, mode: Mode) -> Result<RequestHandle, ConfigError> {
-        engine::validate_request(
-            spec.sample_stride,
-            spec.max_attempts,
-            self.core.model.matrix_side(),
-            &spec.solver,
-        )?;
+        if spec.sample_stride == 0 {
+            return Err(ConfigError::ZeroStride);
+        }
+        if spec.max_attempts == 0 {
+            return Err(ConfigError::ZeroAttempts);
+        }
+        let matrix_side = self.core.model.matrix_side();
+        let (width, height) = (spec.solver.target_width, spec.solver.target_height);
+        if (matrix_side as i64) > width || (matrix_side as i64) > height {
+            return Err(ConfigError::WindowTooSmall {
+                matrix_side,
+                target_width: width,
+                target_height: height,
+            });
+        }
         if spec.first_index.checked_add(spec.count).is_none() {
             return Err(ConfigError::IndexOverflow {
                 first_index: spec.first_index,
@@ -489,7 +513,6 @@ impl PatternService {
             count: spec.count,
             first_index: spec.first_index,
             stride: spec.sample_stride,
-            precision: spec.precision,
             retained: self.core.engine.strided_steps(spec.sample_stride).into(),
             max_attempts: spec.max_attempts,
             repair_bowties: spec.repair_bowties,
@@ -663,8 +686,7 @@ impl RequestHandle {
     }
 
     /// Drains the request to completion and returns the items in index
-    /// order with the aggregated report — the same shape
-    /// [`crate::GenerationSession::generate`] produces.
+    /// order with the aggregated report.
     ///
     /// # Errors
     ///

@@ -9,7 +9,7 @@
 //! trait so harness code iterates a `Vec<Box<dyn PatternSource>>` instead
 //! of hand-wiring each method.
 
-use crate::{PatternService, PipelineError, RequestSpec};
+use crate::{GenerateError, PatternService, PipelineError, PipelineReport, RequestSpec};
 use dp_baselines::{
     assign_borrowed_deltas, AeConfig, Cae, MorphLegalizer, SequenceModel, SequenceModelConfig, Vcae,
 };
@@ -149,7 +149,7 @@ impl PatternSource for DiffusionVariantsSource<'_> {
         let (topologies, _) = self.service.sample_topologies(&spec)?;
         let mut patterns = Vec::new();
         for topo in &topologies {
-            let (mut variants, _report) = crate::engine::legalize_variants_with(
+            let (mut variants, _report) = legalize_variants_with(
                 &self.solver,
                 topo,
                 self.variants_per_topology,
@@ -162,6 +162,30 @@ impl PatternSource for DiffusionVariantsSource<'_> {
             topologies: Some(topologies.len()),
         })
     }
+}
+
+/// Legalizes one topology into up to `variants` distinct patterns
+/// (DiffPattern-L, paper Fig. 7), with full failure accounting in the
+/// returned report.
+fn legalize_variants_with(
+    solver: &Solver,
+    topology: &BitGrid,
+    variants: usize,
+    rng: &mut impl Rng,
+) -> Result<(Vec<SquishPattern>, PipelineReport), GenerateError> {
+    let solve = solver.solve_many_report(topology, variants, rng);
+    let mut report = PipelineReport {
+        solver_failures: solve.failures,
+        ..PipelineReport::default()
+    };
+    let mut patterns = Vec::with_capacity(solve.solutions.len());
+    for s in solve.solutions {
+        let pattern =
+            SquishPattern::new(topology.clone(), s.dx, s.dy).map_err(GenerateError::Assembly)?;
+        report.legal_patterns += 1;
+        patterns.push(pattern);
+    }
+    Ok((patterns, report))
 }
 
 /// Which pixel-space baseline generator a [`PixelSource`] wraps.
@@ -325,5 +349,73 @@ impl PatternSource for SequenceSource {
             patterns,
             topologies: None,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Pipeline, PipelineConfig};
+    use dp_drc::DesignRules;
+    use dp_legalize::SolverConfig;
+    use rand::SeedableRng;
+    use std::sync::Arc;
+
+    /// A tiny pipeline trained for `iters` steps, its continuing RNG, and
+    /// a service over the frozen model.
+    fn trained(seed: u64, iters: usize) -> (Pipeline, rand::rngs::StdRng, PatternService) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut pipeline = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng).unwrap();
+        let _ = pipeline.train(iters, &mut rng).unwrap();
+        let model = Arc::new(pipeline.trained_model().unwrap());
+        let service = PatternService::builder(model).build().unwrap();
+        (pipeline, rng, service)
+    }
+
+    #[test]
+    fn variants_share_topology_and_are_legal() {
+        let (pipeline, mut rng, service) = trained(3, 4);
+        let (topos, _) = service
+            .sample_topologies(&pipeline.request_spec(1).seed(3))
+            .unwrap();
+        if topos.is_empty() {
+            return; // extremely unlucky sampling; covered by other seeds
+        }
+        let config = pipeline.config();
+        let solver = Solver::new(config.rules, config.solver);
+        let (variants, report) = legalize_variants_with(&solver, &topos[0], 4, &mut rng).unwrap();
+        for v in &variants {
+            assert_eq!(v.topology(), &topos[0]);
+            assert!(dp_drc::check_pattern(v, &config.rules).is_clean());
+        }
+        assert_eq!(report.legal_patterns, variants.len());
+    }
+
+    #[test]
+    fn variant_failures_are_counted() {
+        // Infeasible rules: every requested variant must surface as a
+        // solver failure instead of silently shrinking the result.
+        let (pipeline, mut rng, service) = trained(7, 3);
+        let harsh = Solver::new(
+            DesignRules::builder()
+                .space_min(900)
+                .width_min(900)
+                .area_range(1, i128::MAX / 4)
+                .build()
+                .unwrap(),
+            SolverConfig {
+                max_iterations: 30,
+                max_restarts: 1,
+                ..SolverConfig::for_window(2048, 2048)
+            },
+        );
+        let (topos, _) = service
+            .sample_topologies(&pipeline.request_spec(1).seed(7))
+            .unwrap();
+        if topos.is_empty() || topos[0].count_ones() == 0 {
+            return; // nothing to legalize → nothing to fail
+        }
+        let (variants, report) = legalize_variants_with(&harsh, &topos[0], 3, &mut rng).unwrap();
+        assert_eq!(report.solver_failures + variants.len(), 3);
     }
 }

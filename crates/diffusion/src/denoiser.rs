@@ -1,64 +1,36 @@
-use crate::loss::{p1_of_logits, p1_of_logits_append, p1_of_logits_into};
+use crate::loss::{p1_of_logits, p1_of_logits_append};
 use dp_nn::{Tensor, UNet, Workspace};
 use dp_squish::DeepSquishTensor;
 
 /// A reverse-process model: predicts, for every entry of a noisy topology
-/// tensor, the probability that the *clean* entry is one.
+/// tensor, the probability that the *clean* entry is one — from a *shared*
+/// reference, with no gradient caching and no internal mutation, so one
+/// model can serve many threads simultaneously (`Sync`).
 ///
 /// Abstracting the network behind this trait lets the sampler and its tests
 /// validate the diffusion mathematics with closed-form denoisers
-/// ([`OracleDenoiser`], [`UniformDenoiser`]) before any training happens,
-/// and lets downstream users plug in their own models.
-pub trait Denoiser {
+/// ([`OracleDenoiser`], [`UniformDenoiser`]) before any training happens.
+/// [`crate::TrainedModel`] and the generation engine build on it;
+/// [`NeuralDenoiser`] implements it through the U-Net's dedicated `&self`
+/// forward path ([`dp_nn::UNet::infer`]).
+pub trait InferenceDenoiser: Sync {
     /// For each batch item `i`, returns `p_θ(x̃0 = 1 | x_k)` per entry in
     /// the [`DeepSquishTensor::bits`] order. `ks[i]` is the 1-based
     /// diffusion step of item `i`.
-    fn predict_p1(&mut self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>>;
-}
-
-/// The inference-time counterpart of [`Denoiser`]: prediction from a
-/// *shared* reference, with no gradient caching and no internal mutation,
-/// so one model can serve many threads simultaneously (`Sync`).
-///
-/// [`crate::TrainedModel`] and the batch-generation engines build on this
-/// trait; [`NeuralDenoiser`] implements it through the U-Net's dedicated
-/// `&self` forward path ([`dp_nn::UNet::infer`]).
-pub trait InferenceDenoiser: Sync {
-    /// As [`Denoiser::predict_p1`], from `&self`.
     fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>>;
-
-    /// Single-item prediction into a caller-provided buffer, drawing all
-    /// scratch memory from `ws` — the allocation-free path the sampling
-    /// hot loop uses. The default implementation falls back to
-    /// [`InferenceDenoiser::infer_p1`] (correct but allocating); neural
-    /// implementations override it.
-    fn infer_p1_into(
-        &self,
-        xk: &DeepSquishTensor,
-        k: usize,
-        ws: &mut Workspace,
-        out: &mut Vec<f64>,
-    ) {
-        let _ = ws;
-        let p1 = self.infer_p1(std::slice::from_ref(xk), &[k]).swap_remove(0);
-        out.clear();
-        out.extend_from_slice(&p1);
-    }
 
     /// Lock-step micro-batch prediction: all of `xks` sit at the **same**
     /// diffusion step `k`, and the per-entry probabilities of every item
     /// are written into `out` concatenated in item order (`out.len() ==
     /// xks.len() * entries`). The contract is that item `i`'s slice is
-    /// **bit-identical** to what [`InferenceDenoiser::infer_p1_into`]
-    /// would produce for that item alone — the batched sampler relies on
-    /// this to keep micro-batched chains equal to sequential ones.
+    /// **bit-identical** to what [`InferenceDenoiser::infer_p1`] returns
+    /// for that item alone — the batched sampler relies on this to keep
+    /// micro-batched chains equal to single-lane ones.
     ///
-    /// The default implementation loops over [`infer_p1_into`]
-    /// (trivially satisfying the contract, but evaluating the model once
-    /// per item and allocating a temporary); neural implementations
-    /// override it with one stacked model evaluation.
-    ///
-    /// [`infer_p1_into`]: InferenceDenoiser::infer_p1_into
+    /// The default implementation loops over [`InferenceDenoiser::infer_p1`]
+    /// one item at a time (trivially satisfying the contract, but
+    /// allocating); neural implementations override it with one stacked,
+    /// allocation-free model evaluation drawing scratch memory from `ws`.
     fn infer_p1_batch_into(
         &self,
         xks: &[DeepSquishTensor],
@@ -66,11 +38,10 @@ pub trait InferenceDenoiser: Sync {
         ws: &mut Workspace,
         out: &mut Vec<f64>,
     ) {
+        let _ = ws;
         out.clear();
-        let mut lane = Vec::new();
         for xk in xks {
-            self.infer_p1_into(xk, k, ws, &mut lane);
-            out.extend_from_slice(&lane);
+            out.extend_from_slice(&self.infer_p1(std::slice::from_ref(xk), &[k])[0]);
         }
     }
 }
@@ -134,30 +105,12 @@ impl NeuralDenoiser {
         Tensor::from_vec(&[n, c, side, side], data)
     }
 
-    /// Runs the network and returns the raw logit tensor `(n, 2C, M, M)` —
-    /// used by the trainer, which needs logits rather than probabilities.
+    /// Runs the network's training forward pass and returns the raw logit
+    /// tensor `(n, 2C, M, M)` — used by the trainer, which needs logits
+    /// rather than probabilities.
     pub fn forward_logits(&mut self, xks: &[DeepSquishTensor], ks: &[usize]) -> Tensor {
         let input = Self::batch_to_input(xks);
         self.unet.forward(&input, ks)
-    }
-
-    /// Writes one tensor's `±1`-mapped bits into a workspace tensor.
-    fn input_into(xk: &DeepSquishTensor, ws: &mut Workspace) -> Tensor {
-        let (c, side) = (xk.channels(), xk.side());
-        let mut input = ws.take_uninit(&[1, c, side, side]);
-        for (v, &b) in input.data_mut().iter_mut().zip(xk.bits()) {
-            *v = if b { 1.0 } else { -1.0 };
-        }
-        input
-    }
-}
-
-impl Denoiser for NeuralDenoiser {
-    fn predict_p1(&mut self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
-        let logits = self.forward_logits(xks, ks);
-        (0..xks.len())
-            .map(|ni| p1_of_logits(&logits, ni, self.channels))
-            .collect()
     }
 }
 
@@ -168,20 +121,6 @@ impl InferenceDenoiser for NeuralDenoiser {
         (0..xks.len())
             .map(|ni| p1_of_logits(&logits, ni, self.channels))
             .collect()
-    }
-
-    fn infer_p1_into(
-        &self,
-        xk: &DeepSquishTensor,
-        k: usize,
-        ws: &mut Workspace,
-        out: &mut Vec<f64>,
-    ) {
-        let input = Self::input_into(xk, ws);
-        let logits = self.unet.infer(&input, &[k], ws);
-        ws.recycle(input);
-        p1_of_logits_into(&logits, 0, self.channels, out);
-        ws.recycle(logits);
     }
 
     fn infer_p1_batch_into(
@@ -245,8 +184,8 @@ impl OracleDenoiser {
     }
 }
 
-impl OracleDenoiser {
-    fn oracle_p1(&self, xks: &[DeepSquishTensor]) -> Vec<Vec<f64>> {
+impl InferenceDenoiser for OracleDenoiser {
+    fn infer_p1(&self, xks: &[DeepSquishTensor], _ks: &[usize]) -> Vec<Vec<f64>> {
         xks.iter()
             .map(|_| {
                 self.x0
@@ -265,18 +204,6 @@ impl OracleDenoiser {
     }
 }
 
-impl Denoiser for OracleDenoiser {
-    fn predict_p1(&mut self, xks: &[DeepSquishTensor], _ks: &[usize]) -> Vec<Vec<f64>> {
-        self.oracle_p1(xks)
-    }
-}
-
-impl InferenceDenoiser for OracleDenoiser {
-    fn infer_p1(&self, xks: &[DeepSquishTensor], _ks: &[usize]) -> Vec<Vec<f64>> {
-        self.oracle_p1(xks)
-    }
-}
-
 /// A denoiser with no information: `p1 = 0.5` everywhere. Sampling with it
 /// keeps the chain at the uniform stationary distribution — the null model
 /// for statistical tests.
@@ -287,12 +214,6 @@ impl UniformDenoiser {
     /// Creates the denoiser.
     pub fn new() -> Self {
         UniformDenoiser
-    }
-}
-
-impl Denoiser for UniformDenoiser {
-    fn predict_p1(&mut self, xks: &[DeepSquishTensor], _ks: &[usize]) -> Vec<Vec<f64>> {
-        xks.iter().map(|xk| vec![0.5; xk.bits().len()]).collect()
     }
 }
 
@@ -330,9 +251,9 @@ mod tests {
             groups: 2,
             dropout: 0.0,
         };
-        let mut d = NeuralDenoiser::new(dp_nn::UNet::new(&config, &mut rng));
+        let d = NeuralDenoiser::new(dp_nn::UNet::new(&config, &mut rng));
         let t = DeepSquishTensor::from_bits(4, 4, vec![false; 64]).unwrap();
-        let p = d.predict_p1(&[t.clone(), t], &[1, 5]);
+        let p = d.infer_p1(&[t.clone(), t], &[1, 5]);
         assert_eq!(p.len(), 2);
         assert_eq!(p[0].len(), 64);
         assert!(p[0].iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -373,7 +294,8 @@ mod tests {
         let mut d = NeuralDenoiser::new(dp_nn::UNet::new(&config, &mut rng));
         let t = DeepSquishTensor::from_bits(4, 4, vec![true; 64]).unwrap();
         let shared = d.infer_p1(std::slice::from_ref(&t), &[3]);
-        let exclusive = d.predict_p1(std::slice::from_ref(&t), &[3]);
+        let logits = d.forward_logits(std::slice::from_ref(&t), &[3]);
+        let exclusive = vec![p1_of_logits(&logits, 0, d.channels())];
         assert_eq!(shared, exclusive);
     }
 
@@ -405,9 +327,8 @@ mod tests {
             let mut batched = Vec::new();
             d.infer_p1_batch_into(&xks, 5, &mut ws, &mut batched);
             assert_eq!(batched.len(), n * 64);
-            let mut solo = Vec::new();
             for (li, xk) in xks.iter().enumerate() {
-                d.infer_p1_into(xk, 5, &mut ws, &mut solo);
+                let solo = d.infer_p1(std::slice::from_ref(xk), &[5]).remove(0);
                 assert_eq!(&batched[li * 64..(li + 1) * 64], &solo[..], "lane {li}");
             }
         }
@@ -419,11 +340,48 @@ mod tests {
     }
 
     #[test]
+    fn provided_batch_default_concatenates_per_item_predictions() {
+        // Closed-form denoisers run on the provided `infer_p1_batch_into`:
+        // it must replace `out` with each item's `infer_p1` at step `k`,
+        // concatenated in item order.
+        struct Echo;
+        impl InferenceDenoiser for Echo {
+            fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
+                xks.iter()
+                    .zip(ks)
+                    .map(|(xk, &k)| {
+                        xk.bits()
+                            .iter()
+                            .map(|&b| (if b { 0.9 } else { 0.1 }) / k as f64)
+                            .collect()
+                    })
+                    .collect()
+            }
+        }
+        let xks: Vec<DeepSquishTensor> = (0..3)
+            .map(|i| {
+                let bits = (0..4).map(|j| (i + j) % 3 == 0).collect();
+                DeepSquishTensor::from_bits(1, 2, bits).unwrap()
+            })
+            .collect();
+        let mut ws = Workspace::new();
+        let mut out = vec![7.0; 5];
+        Echo.infer_p1_batch_into(&xks, 4, &mut ws, &mut out);
+        let expected: Vec<f64> = xks
+            .iter()
+            .flat_map(|xk| Echo.infer_p1(std::slice::from_ref(xk), &[4]).remove(0))
+            .collect();
+        assert_eq!(out, expected);
+        Echo.infer_p1_batch_into(&[], 4, &mut ws, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
     fn oracle_reports_x0() {
         let x0 = DeepSquishTensor::from_bits(1, 2, vec![true, false, true, false]).unwrap();
-        let mut oracle = OracleDenoiser::new(x0.clone(), 0.9);
+        let oracle = OracleDenoiser::new(x0.clone(), 0.9);
         let noisy = DeepSquishTensor::from_bits(1, 2, vec![false; 4]).unwrap();
-        let p = oracle.predict_p1(&[noisy], &[3]);
+        let p = oracle.infer_p1(&[noisy], &[3]);
         let expected = [0.9, 0.1, 0.9, 0.1];
         for (a, b) in p[0].iter().zip(expected) {
             assert!((a - b).abs() < 1e-12);
@@ -433,7 +391,7 @@ mod tests {
     #[test]
     fn uniform_is_half() {
         let t = DeepSquishTensor::from_bits(1, 2, vec![true; 4]).unwrap();
-        let p = UniformDenoiser::new().predict_p1(&[t], &[1]);
+        let p = UniformDenoiser::new().infer_p1(&[t], &[1]);
         assert!(p[0].iter().all(|&v| v == 0.5));
     }
 }

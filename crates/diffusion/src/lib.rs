@@ -19,13 +19,16 @@
 //! | Eq. 9 loss `KL + λ·CE` | [`loss::vb_loss_and_grad`] |
 //! | Eq. 13 ancestral sampling | [`Sampler`] |
 //!
-//! The denoising network is abstracted behind the [`Denoiser`] trait so the
-//! diffusion mathematics can be validated against a closed-form oracle
-//! independently of neural-network training (see `OracleDenoiser`), while
-//! production use plugs in the [`NeuralDenoiser`] U-Net wrapper.
+//! The denoising network is abstracted behind the [`InferenceDenoiser`]
+//! trait so the diffusion mathematics can be validated against a
+//! closed-form oracle independently of neural-network training (see
+//! `OracleDenoiser`), while production use plugs in the [`NeuralDenoiser`]
+//! U-Net wrapper; training calls [`NeuralDenoiser::forward_logits`]
+//! directly.
 //!
-//! Every sampling entry point funnels into one *conditioned* core
-//! parameterised by a per-lane [`Conditioning`]: a [`FrozenRegion`]
+//! Sampling has one batched *conditioned* core,
+//! [`Sampler::sample_conditioned_batch_with`], parameterised by a
+//! [`Conditioning`]: a [`FrozenRegion`]
 //! holds known bits through the whole reverse chain (diffusion
 //! inpainting — the frozen set rides `q(x_k | x_0)` between steps so
 //! lane statistics stay on-manifold, and is clamped exactly at the
@@ -58,12 +61,11 @@ mod schedule;
 mod trainer;
 
 pub use conditioning::{Conditioning, FrozenRegion, Motif, MotifGuidance};
-pub use denoiser::{Denoiser, InferenceDenoiser, NeuralDenoiser, OracleDenoiser, UniformDenoiser};
+pub use denoiser::{InferenceDenoiser, NeuralDenoiser, OracleDenoiser, UniformDenoiser};
 pub use error::DiffusionError;
 pub use model::TrainedModel;
 pub use sampler::{
-    categorical_draw_in_place, reverse_update_in_place, BatchScratch, SampleScratch, SampleTrace,
-    Sampler,
+    categorical_draw_in_place, reverse_update_in_place, BatchScratch, SampleTrace, Sampler,
 };
 pub use schedule::{
     flip_between, forward_sample, posterior_jump_same_prob, posterior_same_prob, reverse_jump_prob,
@@ -71,7 +73,4 @@ pub use schedule::{
 };
 pub use trainer::{TrainConfig, TrainReport, Trainer};
 
-/// Re-exported so downstream crates can pick a [`TrainedModel`] prepack
-/// precision without depending on `dp_nn` directly.
-pub use dp_nn::Precision;
 pub use dp_squish::DeepSquishTensor;

@@ -152,23 +152,12 @@ pub fn vb_loss_and_grad(
 /// Panics when the tensor is not `(n, 2C, M, M)` or `ni` is out of range.
 pub fn p1_of_logits(logits: &Tensor, ni: usize, channels: usize) -> Vec<f64> {
     let mut out = Vec::new();
-    p1_of_logits_into(logits, ni, channels, &mut out);
+    p1_of_logits_append(logits, ni, channels, &mut out);
     out
 }
 
-/// [`p1_of_logits`] into a caller-provided buffer (cleared first), so the
-/// sampling hot loop reuses one allocation across denoising steps.
-///
-/// # Panics
-///
-/// Same conditions as [`p1_of_logits`].
-pub fn p1_of_logits_into(logits: &Tensor, ni: usize, channels: usize, out: &mut Vec<f64>) {
-    out.clear();
-    p1_of_logits_append(logits, ni, channels, out);
-}
-
-/// As [`p1_of_logits_into`] but **appending** to `out` instead of clearing
-/// it first — the batched sampling path concatenates every lane's
+/// As [`p1_of_logits`] but **appending** to a caller-provided buffer —
+/// the batched sampling path concatenates every lane's
 /// probabilities into one buffer with repeated calls (identical per-entry
 /// arithmetic, so lane slices are bit-equal to single-item extraction).
 ///

@@ -10,14 +10,16 @@
 //! pipeline, `load_params`, `mark_trained`" dance.
 
 use crate::{DiffusionError, InferenceDenoiser, NeuralDenoiser, NoiseSchedule, Sampler};
-use dp_nn::{load_params, save_params, Precision, UNet, UNetConfig};
+use dp_nn::{load_params, save_params, UNet, UNetConfig};
 use dp_squish::DeepSquishTensor;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Magic bytes identifying a serialised model blob.
 const MAGIC: &[u8; 8] = b"DPMODEL\x01";
-/// Blob format version. Version 2 added the prepack precision field
-/// (version-1 blobs load as [`Precision::Exact`]).
+/// Blob format version. Version 2 added a precision word after the
+/// spatial side. Blobs store f32 master weights whatever that word says,
+/// so words 0 and 1 both load as the one exact model, and version-1 blobs
+/// (no word) do too.
 const VERSION: u32 = 2;
 
 /// A trained discrete-diffusion model: U-Net weights, noise schedule and
@@ -25,8 +27,8 @@ const VERSION: u32 = 2;
 ///
 /// Everything on this type takes `&self` and the type is `Sync`, so a
 /// single instance can be shared by reference across worker threads —
-/// the foundation of `GenerationSession`'s thread-parallel batch
-/// generation in the facade crate.
+/// the foundation of `PatternService`'s persistent worker pool in the
+/// facade crate.
 ///
 /// Obtain one from [`crate::Trainer::finish`] after training, or restore a
 /// previously saved model with [`TrainedModel::load`].
@@ -35,7 +37,6 @@ pub struct TrainedModel {
     denoiser: NeuralDenoiser,
     schedule: NoiseSchedule,
     side: usize,
-    precision: Precision,
 }
 
 impl TrainedModel {
@@ -47,27 +48,9 @@ impl TrainedModel {
     /// Returns [`DiffusionError::BadModelBlob`] when `side` is zero or the
     /// fold channel count is not a perfect square.
     pub fn new(
-        denoiser: NeuralDenoiser,
-        schedule: NoiseSchedule,
-        side: usize,
-    ) -> Result<Self, DiffusionError> {
-        Self::new_with_precision(denoiser, schedule, side, Precision::Exact)
-    }
-
-    /// [`TrainedModel::new`] with an explicit prepack precision (see
-    /// [`Precision`]): `Exact` keeps inference bit-identical to the
-    /// training forward pass; `Bf16` rounds the frozen packed weight
-    /// copies to bfloat16 for faster, slightly lossy sampling. The master
-    /// weights stay f32 either way, so [`TrainedModel::save`] is lossless.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`TrainedModel::new`].
-    pub fn new_with_precision(
         mut denoiser: NeuralDenoiser,
         schedule: NoiseSchedule,
         side: usize,
-        precision: Precision,
     ) -> Result<Self, DiffusionError> {
         if side == 0 {
             return Err(DiffusionError::BadModelBlob {
@@ -84,31 +67,12 @@ impl TrainedModel {
         // Freeze point: the weights are final, so precompute every
         // layer's packed/transposed GEMM operand once. Sampling then
         // never re-reshapes a kernel tensor.
-        denoiser.unet_mut().prepack_with(precision);
+        denoiser.unet_mut().prepack();
         Ok(TrainedModel {
             denoiser,
             schedule,
             side,
-            precision,
         })
-    }
-
-    /// The precision the packed inference weights were built at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// A copy of this model re-prepacked at `precision`. The underlying
-    /// f32 master weights are shared history — only the frozen packed GEMM
-    /// operands are rebuilt — so converting `Bf16 -> Exact` recovers the
-    /// bit-exact model.
-    pub fn with_precision(&self, precision: Precision) -> TrainedModel {
-        let mut copy = self.clone();
-        if precision != self.precision {
-            copy.denoiser.unet_mut().prepack_with(precision);
-            copy.precision = precision;
-        }
-        copy
     }
 
     /// Fold channel count `C` of the Deep Squish tensors.
@@ -142,13 +106,6 @@ impl TrainedModel {
         Sampler::new(self.schedule.clone())
     }
 
-    /// Convenience: draws one topology tensor through the full ancestral
-    /// chain (see [`Sampler`] for respaced and traced variants).
-    pub fn sample_one(&self, rng: &mut impl Rng) -> DeepSquishTensor {
-        self.sampler()
-            .sample_one_infer(self, self.channels(), self.side, rng)
-    }
-
     /// Serialises the model — architecture, schedule, geometry and weights
     /// — into one self-describing little-endian blob.
     pub fn save(&self) -> Vec<u8> {
@@ -173,13 +130,8 @@ impl TrainedModel {
         push(&mut buf, config.groups);
         buf.extend_from_slice(&config.dropout.to_le_bytes());
         push(&mut buf, self.side);
-        push(
-            &mut buf,
-            match self.precision {
-                Precision::Exact => 0,
-                Precision::Bf16 => 1,
-            },
-        );
+        // The version-2 precision word; see `VERSION`.
+        push(&mut buf, 0);
         push(&mut buf, self.schedule.steps());
         for &b in self.schedule.betas() {
             buf.extend_from_slice(&b.to_le_bytes());
@@ -257,16 +209,14 @@ impl TrainedModel {
         if side == 0 || side > 65_536 {
             return Err(bad("implausible spatial side"));
         }
-        // Version 1 predates the precision field and always meant exact.
-        let precision = if version >= 2 {
+        // Version 1 predates the precision word. Word 1 marked a
+        // reduced-precision prepack; the weights themselves are f32.
+        if version >= 2 {
             match r.u32()? {
-                0 => Precision::Exact,
-                1 => Precision::Bf16,
+                0 | 1 => {}
                 other => return Err(bad(&format!("unknown precision tag {other}"))),
             }
-        } else {
-            Precision::Exact
-        };
+        }
         let steps = r.u32()? as usize;
         if steps == 0 || steps > 1 << 20 {
             return Err(bad("implausible diffusion step count"));
@@ -298,23 +248,13 @@ impl TrainedModel {
         }))
         .map_err(|_| bad("architecture declared by the blob is inconsistent"))?;
         load_params(&mut unet.params_mut(), r.rest())?;
-        TrainedModel::new_with_precision(NeuralDenoiser::new(unet), schedule, side, precision)
+        TrainedModel::new(NeuralDenoiser::new(unet), schedule, side)
     }
 }
 
 impl InferenceDenoiser for TrainedModel {
     fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
         self.denoiser.infer_p1(xks, ks)
-    }
-
-    fn infer_p1_into(
-        &self,
-        xk: &DeepSquishTensor,
-        k: usize,
-        ws: &mut dp_nn::Workspace,
-        out: &mut Vec<f64>,
-    ) {
-        self.denoiser.infer_p1_into(xk, k, ws, out);
     }
 
     fn infer_p1_batch_into(
@@ -377,9 +317,26 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{TrainConfig, Trainer};
+    use crate::{BatchScratch, Conditioning, TrainConfig, Trainer};
     use dp_nn::AdamConfig;
     use rand::SeedableRng;
+
+    /// One full-chain sample through the sampling core (a batch of one).
+    fn sample(model: &TrainedModel, seed: u64) -> DeepSquishTensor {
+        let sampler = model.sampler();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        sampler
+            .sample_conditioned_batch_with(
+                model,
+                model.channels(),
+                model.side(),
+                &sampler.strided_steps(1),
+                &Conditioning::none(),
+                std::slice::from_mut(&mut rng),
+                &mut BatchScratch::new(),
+            )
+            .remove(0)
+    }
 
     fn tiny_unet(channels: usize) -> UNetConfig {
         UNetConfig {
@@ -423,63 +380,62 @@ mod tests {
         assert_eq!(restored.side(), model.side());
         assert_eq!(restored.schedule(), model.schedule());
 
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let a = model.sample_one(&mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let b = restored.sample_one(&mut rng);
+        let a = sample(&model, 9);
+        let b = sample(&restored, 9);
         assert_eq!(a, b, "round-tripped model must sample identically");
     }
 
     #[test]
-    fn bf16_model_round_trips_and_recovers_exact() {
+    fn precision_word_one_loads_as_the_exact_model() {
+        // tiny_unet(1) layout: ... dropout 56..60, side 60..64, precision
+        // word 64..68. A reduced-precision blob (word 1) holds the same f32
+        // master weights, so it must load and sample exactly like word 0.
         let model = trained_tiny_model(7);
-        assert_eq!(model.precision(), Precision::Exact);
-        let bf16 = model.with_precision(Precision::Bf16);
-        assert_eq!(bf16.precision(), Precision::Bf16);
+        let blob = model.save();
+        assert_eq!(blob[64..68], 0u32.to_le_bytes());
+        let mut tagged = blob.clone();
+        tagged[64..68].copy_from_slice(&1u32.to_le_bytes());
+        let restored = TrainedModel::load(&tagged).unwrap();
+        assert_eq!(
+            sample(&restored, 11),
+            sample(&TrainedModel::load(&blob).unwrap(), 11),
+            "a word-1 blob must sample exactly like its word-0 twin"
+        );
+        assert_eq!(restored.save(), blob, "re-saving writes word 0");
+    }
 
-        let restored = TrainedModel::load(&bf16.save()).unwrap();
-        assert_eq!(restored.precision(), Precision::Bf16);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let a = bf16.sample_one(&mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let b = restored.sample_one(&mut rng);
-        assert_eq!(a, b, "bf16 model must survive a save/load round trip");
-
-        // The blob stores f32 master weights, so converting the restored
-        // bf16 model back to exact recovers the original bit-for-bit.
-        let back = restored.with_precision(Precision::Exact);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let c = back.sample_one(&mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let d = model.sample_one(&mut rng);
-        assert_eq!(c, d, "exact model must be recoverable from a bf16 blob");
+    #[test]
+    fn unknown_precision_words_are_rejected() {
+        // Format v2 defines precision words 0 and 1 only; any other word
+        // is a corrupt blob, rejected cleanly rather than defaulted.
+        let blob = trained_tiny_model(7).save();
+        for word in [2u32, 7, u32::MAX] {
+            let mut tagged = blob.clone();
+            tagged[64..68].copy_from_slice(&word.to_le_bytes());
+            assert!(
+                matches!(
+                    TrainedModel::load(&tagged),
+                    Err(DiffusionError::BadModelBlob { .. })
+                ),
+                "precision word {word} must be rejected"
+            );
+        }
     }
 
     #[test]
     fn version1_blob_without_precision_field_loads_as_exact() {
-        // tiny_unet(1) layout: ... dropout 56..60, side 60..64,
-        // precision 64..68 (v2 only). A v1 blob is the v2 blob with the
-        // version field rewritten and the precision word removed.
+        // A v1 blob is the v2 blob with the version field rewritten and
+        // the precision word removed.
         let model = trained_tiny_model(6);
-        let blob = model.save();
-        let mut v1 = blob.clone();
+        let mut v1 = model.save();
         v1[8..12].copy_from_slice(&1u32.to_le_bytes());
         v1.drain(64..68);
         let restored = TrainedModel::load(&v1).unwrap();
-        assert_eq!(restored.precision(), Precision::Exact);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let a = model.sample_one(&mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let b = restored.sample_one(&mut rng);
-        assert_eq!(a, b, "v1 blob must load as the exact model");
-
-        // An unknown precision tag in a v2 blob is rejected cleanly.
-        let mut tagged = blob;
-        tagged[64..68].copy_from_slice(&7u32.to_le_bytes());
-        assert!(matches!(
-            TrainedModel::load(&tagged),
-            Err(DiffusionError::BadModelBlob { .. })
-        ));
+        assert_eq!(
+            sample(&model, 13),
+            sample(&restored, 13),
+            "v1 blob must load as the exact model"
+        );
     }
 
     #[test]

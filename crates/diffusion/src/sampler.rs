@@ -1,30 +1,11 @@
 use crate::schedule::{posterior_jump_same_prob, NoiseSchedule};
-use crate::{Conditioning, Denoiser, InferenceDenoiser, MotifGuidance};
+use crate::{Conditioning, InferenceDenoiser, MotifGuidance};
 use dp_nn::Workspace;
 use dp_squish::DeepSquishTensor;
 use rand::Rng;
+use std::sync::Mutex;
 
-/// Reusable per-thread scratch for the sampling hot loop: the neural
-/// network's [`Workspace`] plus the probability buffer the denoiser fills
-/// each step. After the first sample warms it up, every subsequent
-/// denoising step runs without heap allocation.
-///
-/// Keep one per worker thread and pass it to the `*_with` sampling
-/// methods; the scratch-free methods create a throwaway one per call.
-#[derive(Debug, Default)]
-pub struct SampleScratch {
-    ws: Workspace,
-    p1: Vec<f64>,
-}
-
-impl SampleScratch {
-    /// Creates an empty scratch (sized lazily by its first use).
-    pub fn new() -> Self {
-        SampleScratch::default()
-    }
-}
-
-/// Reusable scratch for the **micro-batched** sampling loop: one
+/// Reusable scratch for the micro-batched sampling loop: one
 /// [`Workspace`] shared by the stacked network evaluation plus the
 /// concatenated per-lane probability buffer
 /// ([`InferenceDenoiser::infer_p1_batch_into`]'s output). Keep one per
@@ -43,58 +24,6 @@ impl BatchScratch {
     }
 }
 
-/// `p_θ(x̃0 = 1 | x_k)` for one state at one step — the only thing the
-/// sampling cores need from a denoiser, whichever mutability flavour it
-/// comes in. Implementations write into the caller's buffer so the
-/// inference flavour stays allocation-free.
-trait Predictor {
-    fn predict_into(
-        &mut self,
-        x: &DeepSquishTensor,
-        k: usize,
-        ws: &mut Workspace,
-        out: &mut Vec<f64>,
-    );
-}
-
-struct MutPredictor<'a>(&'a mut dyn Denoiser);
-
-impl Predictor for MutPredictor<'_> {
-    fn predict_into(
-        &mut self,
-        x: &DeepSquishTensor,
-        k: usize,
-        _ws: &mut Workspace,
-        out: &mut Vec<f64>,
-    ) {
-        let p1 = self
-            .0
-            .predict_p1(std::slice::from_ref(x), &[k])
-            .swap_remove(0);
-        out.clear();
-        out.extend_from_slice(&p1);
-    }
-}
-
-/// Trace observer handed to the conditioned core: called with the step
-/// index and the state at the top step, after each intermediate jump,
-/// and at 0 (the Fig. 6 hook).
-type SnapshotObserver<'a> = &'a mut dyn FnMut(usize, &DeepSquishTensor);
-
-struct InferPredictor<'a>(&'a dyn InferenceDenoiser);
-
-impl Predictor for InferPredictor<'_> {
-    fn predict_into(
-        &mut self,
-        x: &DeepSquishTensor,
-        k: usize,
-        ws: &mut Workspace,
-        out: &mut Vec<f64>,
-    ) {
-        self.0.infer_p1_into(x, k, ws, out);
-    }
-}
-
 /// Ancestral sampler for the reverse diffusion process (paper Eq. 13,
 /// Fig. 6).
 ///
@@ -104,6 +33,12 @@ impl Predictor for InferPredictor<'_> {
 /// `x̂_0 ~ p_θ(x_0 | x_1)` directly. The output is naturally binary — there
 /// is no threshold anywhere, which is the paper's core argument for
 /// discrete diffusion.
+///
+/// There is one sampling core, [`Sampler::sample_conditioned_batch_with`]:
+/// a single chain is a batch of one, the plain ancestral chain is the
+/// retained set [`Sampler::strided_steps`]`(1)` under
+/// [`Conditioning::none`], and [`Sampler::sample_with_trace`] records the
+/// core's states from outside it.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     schedule: NoiseSchedule,
@@ -131,289 +66,36 @@ impl Sampler {
         &self.schedule
     }
 
-    /// Draws `count` fresh topology tensors of shape `channels x side x
-    /// side`.
-    pub fn sample(
-        &self,
-        denoiser: &mut dyn Denoiser,
-        channels: usize,
-        side: usize,
-        count: usize,
-        rng: &mut impl Rng,
-    ) -> Vec<DeepSquishTensor> {
-        let mut scratch = SampleScratch::new();
-        let retained = self.full_steps();
-        (0..count)
-            .map(|_| {
-                self.conditioned_core(
-                    &mut MutPredictor(denoiser),
-                    channels,
-                    side,
-                    &retained,
-                    &Conditioning::none(),
-                    None,
-                    rng,
-                    &mut scratch,
-                )
-            })
-            .collect()
-    }
-
-    /// Draws one sample.
-    pub fn sample_one(
-        &self,
-        denoiser: &mut dyn Denoiser,
-        channels: usize,
-        side: usize,
-        rng: &mut impl Rng,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut MutPredictor(denoiser),
-            channels,
-            side,
-            &self.full_steps(),
-            &Conditioning::none(),
-            None,
-            rng,
-            &mut SampleScratch::new(),
-        )
-    }
-
-    /// Draws one sample through a shared-reference denoiser — the
-    /// thread-safe inference path used by `TrainedModel`-based batch
-    /// generation. Identical mathematics to [`Sampler::sample_one`].
-    pub fn sample_one_infer(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        rng: &mut impl Rng,
-    ) -> DeepSquishTensor {
-        self.sample_one_with(denoiser, channels, side, rng, &mut SampleScratch::new())
-    }
-
-    /// [`Sampler::sample_one_infer`] reusing a caller-owned
-    /// [`SampleScratch`]: once the scratch is warm, the whole denoising
-    /// chain allocates nothing beyond the returned tensor.
-    pub fn sample_one_with(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        rng: &mut impl Rng,
-        scratch: &mut SampleScratch,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut InferPredictor(denoiser),
-            channels,
-            side,
-            &self.full_steps(),
-            &Conditioning::none(),
-            None,
-            rng,
-            scratch,
-        )
-    }
-
-    /// Respaced (DDIM-style, paper ref. \[12\]) sampling: traverses only
-    /// the sub-sequence `0 < k_1 < k_2 < ... <= K` of steps, jumping
-    /// directly between consecutive entries with the generalised posterior
-    /// `q(x_{k_i} | x_{k_{i+1}}, x̃_0)`. One denoiser call per retained step
-    /// — `stride` x fewer network evaluations at modest quality cost.
+    /// The sampling core: advances `rngs.len()` independent chains in
+    /// lock-step over the retained steps `retained` (strictly increasing,
+    /// 1-based, at most K; [`Sampler::strided_steps`] builds them),
+    /// evaluating the denoiser **once per step** on the whole batch while
+    /// drawing every lane's randomness from that lane's own RNG.
+    ///
+    /// Consecutive retained steps are joined by the generalised jump
+    /// posterior `q(x_j | x_k, x̃_0)` (respaced, DDIM-style sampling, paper
+    /// ref. \[12\]); the full sequence `1..=K` is the plain ancestral
+    /// chain. `conditioning` bends every lane's chain the same way: frozen
+    /// entries are q-sampled to the step's noise level after every reverse
+    /// step and clamped exactly at the end; motif guidance reweights the
+    /// terminal draw's logits. [`Conditioning::none`] draws nothing extra
+    /// and perturbs no probability.
+    ///
+    /// Determinism: each lane consumes only its own RNG, in a fixed order,
+    /// and the batched network evaluation is bit-identical per item (see
+    /// [`InferenceDenoiser::infer_p1_batch_into`]), so lane `i` of the
+    /// result is **bit-identical** to a batch of one driven by `rngs[i]`
+    /// alone — batching changes the cost, never the samples. An empty
+    /// `rngs` slice returns an empty vector without touching the denoiser.
     ///
     /// # Panics
     ///
-    /// Panics when `retained` is empty, unsorted, contains 0 or exceeds K.
-    pub fn sample_respaced(
-        &self,
-        denoiser: &mut dyn Denoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rng: &mut impl Rng,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut MutPredictor(denoiser),
-            channels,
-            side,
-            retained,
-            &Conditioning::none(),
-            None,
-            rng,
-            &mut SampleScratch::new(),
-        )
-    }
-
-    /// [`Sampler::sample_respaced`] through a shared-reference denoiser.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Sampler::sample_respaced`].
-    pub fn sample_respaced_infer(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rng: &mut impl Rng,
-    ) -> DeepSquishTensor {
-        self.sample_respaced_with(
-            denoiser,
-            channels,
-            side,
-            retained,
-            rng,
-            &mut SampleScratch::new(),
-        )
-    }
-
-    /// [`Sampler::sample_respaced_infer`] reusing a caller-owned
-    /// [`SampleScratch`] (see [`Sampler::sample_one_with`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Sampler::sample_respaced`].
-    pub fn sample_respaced_with(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rng: &mut impl Rng,
-        scratch: &mut SampleScratch,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut InferPredictor(denoiser),
-            channels,
-            side,
-            retained,
-            &Conditioning::none(),
-            None,
-            rng,
-            scratch,
-        )
-    }
-
-    /// Conditioned single-lane sampling over an explicit retained-step
-    /// subset (the full sequence [`Sampler::strided_steps`]`(1)` gives the
-    /// plain ancestral chain). The conditioning bends this lane's chain —
-    /// frozen entries are q-sampled to the step's noise level after every
-    /// reverse step and clamped exactly at the end; motif guidance
-    /// reweights the terminal categorical draw's logits (see
-    /// [`Conditioning`]).
-    ///
-    /// Determinism: the lane consumes only `rng`, in a fixed order, so the
-    /// output is a pure function of `(denoiser, rng stream, conditioning)`.
-    /// Under [`Conditioning::none`] no extra draw and no probability
-    /// perturbation happens — the result is bit-identical to
-    /// [`Sampler::sample_respaced_with`].
-    ///
-    /// # Panics
-    ///
-    /// Same retained-step conditions as [`Sampler::sample_respaced`]; also
-    /// panics when the conditioning's frozen mask does not span exactly
+    /// Panics when `retained` is empty, unsorted, contains 0 or exceeds K,
+    /// or when the conditioning's frozen mask does not span exactly
     /// `channels * side * side` entries (validate shapes upstream with
-    /// [`Conditioning::matches_entries`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn sample_conditioned_with(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        conditioning: &Conditioning,
-        rng: &mut impl Rng,
-        scratch: &mut SampleScratch,
-    ) -> DeepSquishTensor {
-        self.conditioned_core(
-            &mut InferPredictor(denoiser),
-            channels,
-            side,
-            retained,
-            conditioning,
-            None,
-            rng,
-            scratch,
-        )
-    }
-
-    /// Micro-batched ancestral sampling: advances `rngs.len()` independent
-    /// chains in lock-step, evaluating the denoiser **once per step** on
-    /// the whole batch while drawing every lane's randomness from that
-    /// lane's own RNG. Because each lane consumes exactly the random
-    /// stream a solo chain would, and the batched network evaluation is
-    /// bit-identical per item (see
-    /// [`InferenceDenoiser::infer_p1_batch_into`]), lane `i` of the result
-    /// is **bit-identical** to
-    /// [`Sampler::sample_one_with`] driven by `rngs[i]` alone — batching
-    /// changes the cost, never the samples.
-    ///
-    /// An empty `rngs` slice returns an empty vector without touching the
-    /// denoiser.
-    pub fn sample_batch_with<R: Rng>(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        rngs: &mut [R],
-        scratch: &mut BatchScratch,
-    ) -> Vec<DeepSquishTensor> {
-        self.sample_conditioned_batch_with(
-            denoiser,
-            channels,
-            side,
-            &self.full_steps(),
-            &Conditioning::none(),
-            rngs,
-            scratch,
-        )
-    }
-
-    /// Micro-batched respaced sampling: the [`Sampler::sample_respaced_with`]
-    /// mathematics advanced across `rngs.len()` lock-step lanes, with the
-    /// same per-lane bit-identity guarantee as
-    /// [`Sampler::sample_batch_with`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Sampler::sample_respaced`] (checked even for
-    /// an empty batch, so a misconfigured schedule never goes unnoticed).
-    pub fn sample_respaced_batch_with<R: Rng>(
-        &self,
-        denoiser: &dyn InferenceDenoiser,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        rngs: &mut [R],
-        scratch: &mut BatchScratch,
-    ) -> Vec<DeepSquishTensor> {
-        self.sample_conditioned_batch_with(
-            denoiser,
-            channels,
-            side,
-            retained,
-            &Conditioning::none(),
-            rngs,
-            scratch,
-        )
-    }
-
-    /// THE batched core: [`Sampler::sample_conditioned_with`] advanced
-    /// across `rngs.len()` lock-step lanes sharing one `conditioning`.
-    /// Every unconditioned entry point in this crate funnels here (with
-    /// the full step sequence and [`Conditioning::none`]), so there is
-    /// exactly one implementation of the reverse-chain mathematics.
-    ///
-    /// Per-lane bit-identity holds as for [`Sampler::sample_batch_with`]:
-    /// lane `i` equals [`Sampler::sample_conditioned_with`] driven by
-    /// `rngs[i]` alone, because frozen-bit re-noising draws from the
-    /// lane's own RNG right after that lane's reverse update.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Sampler::sample_conditioned_with`] (checked
-    /// even for an empty batch, so a misconfigured schedule or mask never
-    /// goes unnoticed).
+    /// [`Conditioning::matches_entries`]). Both are checked even for an
+    /// empty batch, so a misconfigured schedule or mask never goes
+    /// unnoticed.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_conditioned_batch_with<R: Rng>(
         &self,
@@ -496,85 +178,7 @@ impl Sampler {
         states
     }
 
-    /// The single-lane core behind every non-batched entry point: the
-    /// respaced reverse chain with optional conditioning and an optional
-    /// snapshot observer (called at the top step, after each intermediate
-    /// jump, and at 0 — the Fig. 6 trace hook).
-    #[allow(clippy::too_many_arguments)]
-    fn conditioned_core(
-        &self,
-        predict: &mut dyn Predictor,
-        channels: usize,
-        side: usize,
-        retained: &[usize],
-        conditioning: &Conditioning,
-        mut snapshot: Option<SnapshotObserver<'_>>,
-        rng: &mut impl Rng,
-        scratch: &mut SampleScratch,
-    ) -> DeepSquishTensor {
-        self.validate_retained(retained);
-        let entries = channels * side * side;
-        assert!(
-            conditioning.matches_entries(entries),
-            "conditioning mask does not span {entries} entries"
-        );
-        let k_top = *retained.last().expect("non-empty");
-
-        // Start from the stationary distribution at the highest retained
-        // step (for k_top close to K this is indistinguishable from T_K).
-        let mut state = uniform_state(channels, side, rng);
-        if let Some(region) = conditioning.frozen() {
-            region.write_noised(self.schedule.cumulative_flip(k_top), state.bits_mut(), rng);
-        }
-        if let Some(observe) = snapshot.as_deref_mut() {
-            observe(k_top, &state);
-        }
-        let SampleScratch { ws, p1 } = scratch;
-
-        // Steady-state single-lane loop — same allocation-free contract
-        // as the batched core above.
-        // dp-lint: zero-alloc
-        for idx in (0..retained.len()).rev() {
-            let k = retained[idx];
-            let j = if idx == 0 { 0 } else { retained[idx - 1] };
-            predict.predict_into(&state, k, ws, p1);
-            if j == 0 {
-                // Final jump: draw x̂0 ~ p_θ(x0 | x_k) directly, with the
-                // guidance bias (if any) applied to this draw's logits.
-                if let Some(guidance) = conditioning.avoid() {
-                    apply_guidance(guidance, channels, side, ws, p1);
-                }
-                categorical_draw_in_place(state.bits_mut(), p1, rng);
-                if let Some(region) = conditioning.frozen() {
-                    region.write_exact(state.bits_mut());
-                }
-            } else {
-                let eq = posterior_jump_same_prob(&self.schedule, j, k, true);
-                let ne = posterior_jump_same_prob(&self.schedule, j, k, false);
-                reverse_update_in_place(eq, ne, state.bits_mut(), p1, rng);
-                if let Some(region) = conditioning.frozen() {
-                    region.write_noised(self.schedule.cumulative_flip(j), state.bits_mut(), rng);
-                }
-                if let Some(observe) = snapshot.as_deref_mut() {
-                    observe(j, &state);
-                }
-            }
-        }
-        if let Some(observe) = snapshot {
-            observe(0, &state);
-        }
-        state
-    }
-
-    /// The full 1-based step sequence `[1, 2, ..., K]` — the retained set
-    /// that makes the respaced core the plain ancestral chain
-    /// (`posterior_jump_same_prob(k-1, k)` is bit-exactly
-    /// [`crate::posterior_same_prob`]`(k)`).
-    fn full_steps(&self) -> Vec<usize> {
-        (1..=self.schedule.steps()).collect()
-    }
-
-    /// The retained-step contract shared by every sampling entry point.
+    /// The retained-step contract of the sampling core.
     fn validate_retained(&self, retained: &[usize]) {
         assert!(!retained.is_empty(), "empty step subset");
         assert!(
@@ -589,7 +193,9 @@ impl Sampler {
     }
 
     /// Builds an evenly strided retained-step subset `[s, 2s, ..., K]` for
-    /// [`Sampler::sample_respaced`].
+    /// [`Sampler::sample_conditioned_batch_with`]; stride 1 is the full
+    /// ancestral chain `1..=K` (`posterior_jump_same_prob(k-1, k)` is
+    /// bit-exactly [`crate::posterior_same_prob`]`(k)`).
     ///
     /// The respacing contract, pinned by unit tests:
     ///
@@ -611,27 +217,15 @@ impl Sampler {
         out
     }
 
-    /// Draws one sample, recording snapshots at the requested steps
-    /// (plus the initial noise at `k = K` and the final sample at `k = 0`).
+    /// Draws one sample through the full chain, recording snapshots at the
+    /// requested steps (plus the initial noise at `k = K` and the final
+    /// sample at `k = 0`) — the Fig. 6 trace.
+    ///
+    /// Runs the core as a batch of one behind a recording denoiser that
+    /// copies the state it is asked to denoise at each requested step, so
+    /// the sample is bit-identical to the core's for the same RNG stream
+    /// and the core's steady-state loop carries no trace hook.
     pub fn sample_with_trace(
-        &self,
-        denoiser: &mut dyn Denoiser,
-        channels: usize,
-        side: usize,
-        snapshot_steps: &[usize],
-        rng: &mut impl Rng,
-    ) -> SampleTrace {
-        self.trace_core(
-            &mut MutPredictor(denoiser),
-            channels,
-            side,
-            snapshot_steps,
-            rng,
-        )
-    }
-
-    /// [`Sampler::sample_with_trace`] through a shared-reference denoiser.
-    pub fn sample_with_trace_infer(
         &self,
         denoiser: &dyn InferenceDenoiser,
         channels: usize,
@@ -639,44 +233,61 @@ impl Sampler {
         snapshot_steps: &[usize],
         rng: &mut impl Rng,
     ) -> SampleTrace {
-        self.trace_core(
-            &mut InferPredictor(denoiser),
-            channels,
-            side,
-            snapshot_steps,
-            rng,
-        )
+        let recorder = Recorder {
+            inner: denoiser,
+            top: self.schedule.steps(),
+            steps: snapshot_steps,
+            snapshots: Mutex::new(Vec::new()),
+        };
+        let sample = self
+            .sample_conditioned_batch_with(
+                &recorder,
+                channels,
+                side,
+                &self.strided_steps(1),
+                &Conditioning::none(),
+                std::slice::from_mut(rng),
+                &mut BatchScratch::new(),
+            )
+            .pop()
+            .expect("a batch of one yields one sample");
+        let mut snapshots = recorder
+            .snapshots
+            .into_inner()
+            .expect("trace recorder lock poisoned");
+        snapshots.push((0, sample.clone()));
+        SampleTrace { snapshots, sample }
+    }
+}
+
+/// The trace helper's denoiser: records the (single) input state at the
+/// top step and at every requested step, then delegates.
+struct Recorder<'a> {
+    inner: &'a dyn InferenceDenoiser,
+    top: usize,
+    steps: &'a [usize],
+    snapshots: Mutex<Vec<(usize, DeepSquishTensor)>>,
+}
+
+impl InferenceDenoiser for Recorder<'_> {
+    fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
+        self.inner.infer_p1(xks, ks)
     }
 
-    /// The Fig. 6 trace path: the conditioned core with a snapshot
-    /// observer cloning the state at the endpoints and every requested
-    /// step (which necessarily allocates per snapshot).
-    fn trace_core(
+    fn infer_p1_batch_into(
         &self,
-        predict: &mut dyn Predictor,
-        channels: usize,
-        side: usize,
-        snapshot_steps: &[usize],
-        rng: &mut impl Rng,
-    ) -> SampleTrace {
-        let k_max = self.schedule.steps();
-        let mut snapshots: Vec<(usize, DeepSquishTensor)> = Vec::new();
-        let mut record = |k: usize, state: &DeepSquishTensor| {
-            if k == k_max || k == 0 || snapshot_steps.contains(&k) {
-                snapshots.push((k, state.clone()));
-            }
-        };
-        let sample = self.conditioned_core(
-            predict,
-            channels,
-            side,
-            &self.full_steps(),
-            &Conditioning::none(),
-            Some(&mut record),
-            rng,
-            &mut SampleScratch::new(),
-        );
-        SampleTrace { snapshots, sample }
+        xks: &[DeepSquishTensor],
+        k: usize,
+        ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) {
+        if k == self.top || self.steps.contains(&k) {
+            self.snapshots
+                .lock()
+                .expect("trace recorder lock poisoned")
+                .extend(xks.iter().map(|x| (k, x.clone())));
+        }
+        self.inner.infer_p1_batch_into(xks, k, ws, out);
     }
 }
 
@@ -750,10 +361,85 @@ fn uniform_state(channels: usize, side: usize, rng: &mut impl Rng) -> DeepSquish
 mod tests {
     use super::*;
     use crate::{FrozenRegion, OracleDenoiser, UniformDenoiser};
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn schedule() -> NoiseSchedule {
         NoiseSchedule::linear(100, 0.01, 0.5).unwrap()
+    }
+
+    /// One chain through the core: a batch of one on `rng`.
+    #[allow(clippy::too_many_arguments)]
+    fn solo(
+        sampler: &Sampler,
+        denoiser: &dyn InferenceDenoiser,
+        channels: usize,
+        side: usize,
+        retained: &[usize],
+        conditioning: &Conditioning,
+        rng: &mut StdRng,
+        scratch: &mut BatchScratch,
+    ) -> DeepSquishTensor {
+        sampler
+            .sample_conditioned_batch_with(
+                denoiser,
+                channels,
+                side,
+                retained,
+                conditioning,
+                std::slice::from_mut(rng),
+                scratch,
+            )
+            .remove(0)
+    }
+
+    /// [`solo`] over the full chain, unconditioned, with a fresh scratch.
+    fn solo_full(
+        sampler: &Sampler,
+        denoiser: &dyn InferenceDenoiser,
+        channels: usize,
+        side: usize,
+        rng: &mut StdRng,
+    ) -> DeepSquishTensor {
+        let full = sampler.strided_steps(1);
+        let none = Conditioning::none();
+        solo(
+            sampler,
+            denoiser,
+            channels,
+            side,
+            &full,
+            &none,
+            rng,
+            &mut BatchScratch::new(),
+        )
+    }
+
+    /// The plain reverse chain written out step by step from the public
+    /// primitives: the reference the core must match under
+    /// [`Conditioning::none`].
+    fn reference_chain(
+        sampler: &Sampler,
+        denoiser: &dyn InferenceDenoiser,
+        side: usize,
+        retained: &[usize],
+        rng: &mut StdRng,
+    ) -> DeepSquishTensor {
+        let mut state = uniform_state(1, side, rng);
+        for idx in (0..retained.len()).rev() {
+            let (k, j) = (retained[idx], if idx == 0 { 0 } else { retained[idx - 1] });
+            let p1 = denoiser
+                .infer_p1(std::slice::from_ref(&state), &[k])
+                .remove(0);
+            if j == 0 {
+                categorical_draw_in_place(state.bits_mut(), &p1, rng);
+            } else {
+                let eq = posterior_jump_same_prob(sampler.schedule(), j, k, true);
+                let ne = posterior_jump_same_prob(sampler.schedule(), j, k, false);
+                reverse_update_in_place(eq, ne, state.bits_mut(), &p1, rng);
+            }
+        }
+        state
     }
 
     #[test]
@@ -761,12 +447,12 @@ mod tests {
         // The strongest correctness check of the reverse-process math: with
         // a confident oracle, ancestral sampling from pure noise must land
         // on x0 (every step pulls each entry towards x0's value).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut rng = StdRng::seed_from_u64(0);
         let bits: Vec<bool> = (0..64).map(|i| (i / 3) % 2 == 0).collect();
         let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
-        let mut oracle = OracleDenoiser::new(x0.clone(), 0.999);
+        let oracle = OracleDenoiser::new(x0.clone(), 0.999);
         let sampler = Sampler::new(schedule());
-        let out = sampler.sample_one(&mut oracle, 1, 8, &mut rng);
+        let out = solo_full(&sampler, &oracle, 1, 8, &mut rng);
         let hamming: usize = out
             .bits()
             .iter()
@@ -777,27 +463,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_path_matches_mut_path_per_seed() {
-        // Both flavours drive the same core with the same RNG stream, so a
-        // fixed seed must give bit-identical samples.
-        let bits: Vec<bool> = (0..64).map(|i| i % 7 == 0).collect();
-        let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
-        let mut oracle = OracleDenoiser::new(x0, 0.9);
-        let sampler = Sampler::new(schedule());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let a = sampler.sample_one(&mut oracle, 1, 8, &mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let b = sampler.sample_one_infer(&oracle, 1, 8, &mut rng);
-        assert_eq!(a, b);
-        let retained = sampler.strided_steps(10);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let a = sampler.sample_respaced(&mut oracle, 1, 8, &retained, &mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
-        let b = sampler.sample_respaced_infer(&oracle, 1, 8, &retained, &mut rng);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn scratch_reuse_matches_fresh_scratch_per_seed() {
         // A warm scratch must not change what gets sampled, only how much
         // is allocated.
@@ -805,31 +470,55 @@ mod tests {
         let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
         let oracle = OracleDenoiser::new(x0, 0.9);
         let sampler = Sampler::new(schedule());
-        let mut scratch = SampleScratch::new();
-        // Warm it up.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let _ = sampler.sample_one_with(&oracle, 1, 8, &mut rng, &mut scratch);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        let warm = sampler.sample_one_with(&oracle, 1, 8, &mut rng, &mut scratch);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        let fresh = sampler.sample_one_infer(&oracle, 1, 8, &mut rng);
-        assert_eq!(warm, fresh);
-        let retained = sampler.strided_steps(7);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
-        let warm = sampler.sample_respaced_with(&oracle, 1, 8, &retained, &mut rng, &mut scratch);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
-        let fresh = sampler.sample_respaced_infer(&oracle, 1, 8, &retained, &mut rng);
-        assert_eq!(warm, fresh);
+        let none = Conditioning::none();
+        let mut scratch = BatchScratch::new();
+        for (stride, seed) in [(1usize, 33u64), (7, 34)] {
+            let retained = sampler.strided_steps(stride);
+            // Warm it up.
+            let mut rng = StdRng::seed_from_u64(5);
+            let _ = solo(
+                &sampler,
+                &oracle,
+                1,
+                8,
+                &retained,
+                &none,
+                &mut rng,
+                &mut scratch,
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let warm = solo(
+                &sampler,
+                &oracle,
+                1,
+                8,
+                &retained,
+                &none,
+                &mut rng,
+                &mut scratch,
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fresh = solo(
+                &sampler,
+                &oracle,
+                1,
+                8,
+                &retained,
+                &none,
+                &mut rng,
+                &mut BatchScratch::new(),
+            );
+            assert_eq!(warm, fresh, "stride {stride}");
+        }
     }
 
     #[test]
     fn uniform_denoiser_stays_uniform() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = StdRng::seed_from_u64(1);
         let sampler = Sampler::new(schedule());
-        let mut d = UniformDenoiser::new();
-        let samples = sampler.sample(&mut d, 1, 16, 4, &mut rng);
-        let ones: usize = samples
-            .iter()
+        let d = UniformDenoiser::new();
+        let ones: usize = (0..4)
+            .map(|_| solo_full(&sampler, &d, 1, 16, &mut rng))
             .map(|s| s.bits().iter().filter(|&&b| b).count())
             .sum();
         let total = 4 * 256;
@@ -839,10 +528,10 @@ mod tests {
 
     #[test]
     fn trace_contains_endpoints_and_requested_steps() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let mut rng = StdRng::seed_from_u64(2);
         let sampler = Sampler::new(schedule());
-        let mut d = UniformDenoiser::new();
-        let trace = sampler.sample_with_trace(&mut d, 1, 4, &[50, 10], &mut rng);
+        let d = UniformDenoiser::new();
+        let trace = sampler.sample_with_trace(&d, 1, 4, &[50, 10], &mut rng);
         let ks: Vec<usize> = trace.snapshots.iter().map(|(k, _)| *k).collect();
         assert_eq!(ks, vec![100, 50, 10, 0]);
         assert_eq!(trace.sample, trace.snapshots.last().unwrap().1);
@@ -850,23 +539,59 @@ mod tests {
 
     #[test]
     fn trace_and_chain_agree_per_seed() {
-        let mut d = UniformDenoiser::new();
+        let d = UniformDenoiser::new();
         let sampler = Sampler::new(schedule());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let via_chain = sampler.sample_one(&mut d, 1, 4, &mut rng);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let via_trace = sampler.sample_with_trace(&mut d, 1, 4, &[], &mut rng);
+        let mut rng = StdRng::seed_from_u64(17);
+        let via_chain = solo_full(&sampler, &d, 1, 4, &mut rng);
+        let mut rng = StdRng::seed_from_u64(17);
+        let via_trace = sampler.sample_with_trace(&d, 1, 4, &[], &mut rng);
         assert_eq!(via_chain, via_trace.sample);
     }
 
     #[test]
+    fn trace_snapshots_are_the_chain_states_at_their_steps() {
+        // The recorder copies the state the core hands the denoiser at
+        // step k, so snapshot k is x_k of the plain chain on the same RNG
+        // stream: x_K is the initial noise and k = 0 is the sample.
+        let bits: Vec<bool> = (0..16).map(|i| i % 3 == 0).collect();
+        let x0 = DeepSquishTensor::from_bits(1, 4, bits).unwrap();
+        let oracle = OracleDenoiser::new(x0, 0.8);
+        let sampler = Sampler::new(schedule());
+        let steps = [70usize, 30, 1];
+        let trace =
+            sampler.sample_with_trace(&oracle, 1, 4, &steps, &mut StdRng::seed_from_u64(23));
+
+        let k_max = sampler.schedule().steps();
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut state = uniform_state(1, 4, &mut rng);
+        let mut expected = Vec::new();
+        for k in (1..=k_max).rev() {
+            if k == k_max || steps.contains(&k) {
+                expected.push((k, state.clone()));
+            }
+            let p1 = oracle
+                .infer_p1(std::slice::from_ref(&state), &[k])
+                .remove(0);
+            if k == 1 {
+                categorical_draw_in_place(state.bits_mut(), &p1, &mut rng);
+            } else {
+                let eq = posterior_jump_same_prob(sampler.schedule(), k - 1, k, true);
+                let ne = posterior_jump_same_prob(sampler.schedule(), k - 1, k, false);
+                reverse_update_in_place(eq, ne, state.bits_mut(), &p1, &mut rng);
+            }
+        }
+        expected.push((0, state.clone()));
+        assert_eq!(trace.snapshots, expected);
+        assert_eq!(trace.sample, state);
+    }
+
+    #[test]
     fn samples_have_requested_shape() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = StdRng::seed_from_u64(3);
         let sampler = Sampler::new(NoiseSchedule::linear(10, 0.05, 0.5).unwrap());
-        let mut d = UniformDenoiser::new();
-        let out = sampler.sample(&mut d, 4, 8, 3, &mut rng);
-        assert_eq!(out.len(), 3);
-        for t in out {
+        let d = UniformDenoiser::new();
+        for _ in 0..3 {
+            let t = solo_full(&sampler, &d, 4, 8, &mut rng);
             assert_eq!((t.channels(), t.side()), (4, 8));
         }
     }
@@ -876,14 +601,23 @@ mod tests {
         // Even with a stride of 10 (one tenth of the denoiser calls), a
         // confident oracle still reconstructs x0 through the generalised
         // jump posterior.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        let mut rng = StdRng::seed_from_u64(10);
         let bits: Vec<bool> = (0..64).map(|i| (i / 4) % 2 == 1).collect();
         let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
-        let mut oracle = OracleDenoiser::new(x0.clone(), 0.999);
+        let oracle = OracleDenoiser::new(x0.clone(), 0.999);
         let sampler = Sampler::new(schedule());
         let retained = sampler.strided_steps(10);
         assert!(retained.len() <= 11);
-        let out = sampler.sample_respaced(&mut oracle, 1, 8, &retained, &mut rng);
+        let out = solo(
+            &sampler,
+            &oracle,
+            1,
+            8,
+            &retained,
+            &Conditioning::none(),
+            &mut rng,
+            &mut BatchScratch::new(),
+        );
         let hamming: usize = out
             .bits()
             .iter()
@@ -898,13 +632,22 @@ mod tests {
         // With stride 1, respaced sampling is the ordinary ancestral
         // sampler; under a uniform denoiser both keep the fair-coin
         // density.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut rng = StdRng::seed_from_u64(11);
         let sampler = Sampler::new(schedule());
         let full: Vec<usize> = (1..=100).collect();
-        let mut d = UniformDenoiser::new();
+        let d = UniformDenoiser::new();
         let mut ones = 0usize;
         for _ in 0..4 {
-            let t = sampler.sample_respaced(&mut d, 1, 16, &full, &mut rng);
+            let t = solo(
+                &sampler,
+                &d,
+                1,
+                16,
+                &full,
+                &Conditioning::none(),
+                &mut rng,
+                &mut BatchScratch::new(),
+            );
             ones += t.bits().iter().filter(|&&b| b).count();
         }
         let frac = ones as f64 / (4.0 * 256.0);
@@ -955,41 +698,57 @@ mod tests {
         let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
         let oracle = OracleDenoiser::new(x0, 0.9);
         let sampler = Sampler::new(schedule());
+        let none = Conditioning::none();
+        let full = sampler.strided_steps(1);
         let retained = sampler.strided_steps(9);
         for batch in [1usize, 3, 8] {
             let seeds: Vec<u64> = (0..batch as u64).map(|i| 1000 + 13 * i).collect();
             let mut scratch = BatchScratch::new();
-            let mut rngs: Vec<rand::rngs::StdRng> = seeds
-                .iter()
-                .map(|&s| rand::rngs::StdRng::seed_from_u64(s))
-                .collect();
-            let batched = sampler.sample_batch_with(&oracle, 1, 8, &mut rngs, &mut scratch);
-            let mut single_scratch = SampleScratch::new();
+            let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+            let batched = sampler.sample_conditioned_batch_with(
+                &oracle,
+                1,
+                8,
+                &full,
+                &none,
+                &mut rngs,
+                &mut scratch,
+            );
+            let mut single_scratch = BatchScratch::new();
             for (li, &seed) in seeds.iter().enumerate() {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let solo = sampler.sample_one_with(&oracle, 1, 8, &mut rng, &mut single_scratch);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let solo = solo(
+                    &sampler,
+                    &oracle,
+                    1,
+                    8,
+                    &full,
+                    &none,
+                    &mut rng,
+                    &mut single_scratch,
+                );
                 assert_eq!(batched[li], solo, "B={batch} lane {li} diverged");
             }
             // Respaced flavour, reusing the (now warm) scratches.
-            let mut rngs: Vec<rand::rngs::StdRng> = seeds
-                .iter()
-                .map(|&s| rand::rngs::StdRng::seed_from_u64(s))
-                .collect();
-            let batched = sampler.sample_respaced_batch_with(
+            let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+            let batched = sampler.sample_conditioned_batch_with(
                 &oracle,
                 1,
                 8,
                 &retained,
+                &none,
                 &mut rngs,
                 &mut scratch,
             );
             for (li, &seed) in seeds.iter().enumerate() {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let solo = sampler.sample_respaced_with(
+                let mut rng = StdRng::seed_from_u64(seed);
+                let solo = solo(
+                    &sampler,
                     &oracle,
                     1,
                     8,
                     &retained,
+                    &none,
                     &mut rng,
                     &mut single_scratch,
                 );
@@ -1003,30 +762,47 @@ mod tests {
         let sampler = Sampler::new(schedule());
         let oracle = UniformDenoiser::new();
         let mut scratch = BatchScratch::new();
-        let mut rngs: Vec<rand::rngs::StdRng> = Vec::new();
-        assert!(sampler
-            .sample_batch_with(&oracle, 1, 8, &mut rngs, &mut scratch)
-            .is_empty());
-        let retained = sampler.strided_steps(10);
-        assert!(sampler
-            .sample_respaced_batch_with(&oracle, 1, 8, &retained, &mut rngs, &mut scratch)
-            .is_empty());
+        let mut rngs: Vec<StdRng> = Vec::new();
+        let none = Conditioning::none();
+        for stride in [1usize, 10] {
+            let retained = sampler.strided_steps(stride);
+            assert!(sampler
+                .sample_conditioned_batch_with(
+                    &oracle,
+                    1,
+                    8,
+                    &retained,
+                    &none,
+                    &mut rngs,
+                    &mut scratch
+                )
+                .is_empty());
+        }
     }
 
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn respaced_rejects_unsorted_steps() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let mut rng = StdRng::seed_from_u64(12);
         let sampler = Sampler::new(schedule());
-        let mut d = UniformDenoiser::new();
-        let _ = sampler.sample_respaced(&mut d, 1, 4, &[50, 10], &mut rng);
+        let d = UniformDenoiser::new();
+        let _ = solo(
+            &sampler,
+            &d,
+            1,
+            4,
+            &[50, 10],
+            &Conditioning::none(),
+            &mut rng,
+            &mut BatchScratch::new(),
+        );
     }
 
     #[test]
     fn conditioning_none_is_bit_identical_to_unconditioned_entry_points() {
         // The conditioned core IS the unconditioned sampler under
-        // `Conditioning::none()`: same draws, same samples, single-lane
-        // and batched, full chain and respaced.
+        // `Conditioning::none()`: same draws, same samples as the plain
+        // chain written out step by step, full chain and respaced.
         let bits: Vec<bool> = (0..64).map(|i| i % 4 == 0).collect();
         let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
         let oracle = OracleDenoiser::new(x0, 0.9);
@@ -1034,10 +810,11 @@ mod tests {
         let none = Conditioning::none();
         let full = sampler.strided_steps(1);
         let retained = sampler.strided_steps(8);
-        let mut scratch = SampleScratch::new();
+        let mut scratch = BatchScratch::new();
         for (steps, seed) in [(&full, 41u64), (&retained, 42)] {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let cond = sampler.sample_conditioned_with(
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cond = solo(
+                &sampler,
                 &oracle,
                 1,
                 8,
@@ -1046,8 +823,8 @@ mod tests {
                 &mut rng,
                 &mut scratch,
             );
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let plain = sampler.sample_respaced_with(&oracle, 1, 8, steps, &mut rng, &mut scratch);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let plain = reference_chain(&sampler, &oracle, 8, steps, &mut rng);
             assert_eq!(cond, plain);
         }
     }
@@ -1074,10 +851,7 @@ mod tests {
         let retained = sampler.strided_steps(6);
         let seeds: Vec<u64> = (0..5u64).map(|i| 7000 + 11 * i).collect();
         let mut scratch = BatchScratch::new();
-        let mut rngs: Vec<rand::rngs::StdRng> = seeds
-            .iter()
-            .map(|&s| rand::rngs::StdRng::seed_from_u64(s))
-            .collect();
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
         let batched = sampler.sample_conditioned_batch_with(
             &oracle,
             1,
@@ -1087,10 +861,11 @@ mod tests {
             &mut rngs,
             &mut scratch,
         );
-        let mut solo_scratch = SampleScratch::new();
+        let mut solo_scratch = BatchScratch::new();
         for (li, &seed) in seeds.iter().enumerate() {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let solo = sampler.sample_conditioned_with(
+            let mut rng = StdRng::seed_from_u64(seed);
+            let solo = solo(
+                &sampler,
                 &oracle,
                 1,
                 8,
@@ -1122,11 +897,12 @@ mod tests {
         };
         let cond = Conditioning::none()
             .with_avoid(MotifGuidance::new(crate::Motif::IsolatedCell, 6.0).unwrap());
-        let mut scratch = SampleScratch::new();
+        let mut scratch = BatchScratch::new();
         let (mut plain, mut guided) = (0usize, 0usize);
         for seed in 0..8u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let t = sampler.sample_conditioned_with(
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = solo(
+                &sampler,
                 &oracle,
                 1,
                 16,
@@ -1136,8 +912,9 @@ mod tests {
                 &mut scratch,
             );
             plain += dots_present(&t);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let t = sampler.sample_conditioned_with(
+            let mut rng = StdRng::seed_from_u64(seed);
+            let t = solo(
+                &sampler,
                 &oracle,
                 1,
                 16,
@@ -1161,15 +938,16 @@ mod tests {
         let d = UniformDenoiser::new();
         let cond = Conditioning::none().with_frozen(frozen_checkerboard(32, 0, 8));
         let retained = sampler.strided_steps(10);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let _ = sampler.sample_conditioned_with(
+        let mut rng = StdRng::seed_from_u64(0);
+        let _ = solo(
+            &sampler,
             &d,
             1,
             8, // 64 entries, mask has 32
             &retained,
             &cond,
             &mut rng,
-            &mut SampleScratch::new(),
+            &mut BatchScratch::new(),
         );
     }
 
@@ -1191,9 +969,9 @@ mod tests {
             let region = frozen_checkerboard(64, offset, span);
             let cond = Conditioning::none().with_frozen(region.clone());
             let retained = sampler.strided_steps(stride);
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let out = sampler.sample_conditioned_with(
-                &d, 1, 8, &retained, &cond, &mut rng, &mut SampleScratch::new(),
+            let mut rng = StdRng::seed_from_u64(seed);
+            let out = solo(
+                &sampler, &d, 1, 8, &retained, &cond, &mut rng, &mut BatchScratch::new(),
             );
             for (i, &frozen) in region.mask().iter().enumerate() {
                 if frozen {
@@ -1207,12 +985,12 @@ mod tests {
     fn noise_dominates_early_denoising_late() {
         // With a confident oracle, the state at a late snapshot (small k)
         // must be closer to x0 than the initial noise was.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let mut rng = StdRng::seed_from_u64(4);
         let bits: Vec<bool> = (0..256).map(|i| i % 5 == 0).collect();
         let x0 = DeepSquishTensor::from_bits(1, 16, bits).unwrap();
-        let mut oracle = OracleDenoiser::new(x0.clone(), 0.999);
+        let oracle = OracleDenoiser::new(x0.clone(), 0.999);
         let sampler = Sampler::new(schedule());
-        let trace = sampler.sample_with_trace(&mut oracle, 1, 16, &[5], &mut rng);
+        let trace = sampler.sample_with_trace(&oracle, 1, 16, &[5], &mut rng);
         let dist = |t: &DeepSquishTensor| -> usize {
             t.bits()
                 .iter()

@@ -303,7 +303,7 @@ mod tests {
         let mut trainer = Trainer::new(&tiny_unet(1), config, &mut rng).unwrap();
         let dataset = striped_dataset(8);
         let _ = trainer.train(&dataset, 60, &mut rng).unwrap();
-        let (mut denoiser, sampler) = trainer.into_parts();
+        let (denoiser, sampler) = trainer.into_parts();
 
         let min_dist = |t: &DeepSquishTensor| -> usize {
             dataset
@@ -318,10 +318,24 @@ mod tests {
                 .min()
                 .unwrap()
         };
-        let samples = sampler.sample(&mut denoiser, 1, 8, 4, &mut rng);
+        let full = sampler.strided_steps(1);
+        let mut draw = |d: &dyn crate::InferenceDenoiser| {
+            let mut rngs: Vec<_> = (0..4)
+                .map(|_| rand::rngs::StdRng::seed_from_u64(rng.gen()))
+                .collect();
+            sampler.sample_conditioned_batch_with(
+                d,
+                1,
+                8,
+                &full,
+                &crate::Conditioning::none(),
+                &mut rngs,
+                &mut crate::BatchScratch::new(),
+            )
+        };
+        let samples = draw(&denoiser);
         let trained: usize = samples.iter().map(&min_dist).sum();
-        let mut uniform = crate::UniformDenoiser::new();
-        let noise = sampler.sample(&mut uniform, 1, 8, 4, &mut rng);
+        let noise = draw(&crate::UniformDenoiser::new());
         let baseline: usize = noise.iter().map(min_dist).sum();
         assert!(
             trained < baseline,

@@ -2,7 +2,7 @@
 //! determinism, panic-freedom, and codec-safety contracts.
 //!
 //! The repo's value is its bit-exact contract: same seed, same bytes,
-//! across batch widths, thread counts, precision lanes, and the wire.
+//! across batch widths, thread counts, concurrent load, and the wire.
 //! The test suites check that contract *dynamically*; this crate checks
 //! it *statically*, so a violation fails CI at the source line that
 //! introduced it instead of whenever a test happens to notice. With no

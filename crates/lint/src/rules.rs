@@ -74,7 +74,6 @@ pub const RULES: &[RuleDef] = &[
         include: &[
             "crates/core/src/engine.rs",
             "crates/core/src/service.rs",
-            "crates/core/src/session.rs",
             "crates/core/src/source.rs",
             "crates/diffusion/src/",
         ],
@@ -383,5 +382,21 @@ mod tests {
         let got = run_matchers("crates/nn/src/x.rs", src, &toks, &[(0, region_end)]);
         assert_eq!(got.len(), 1, "only the first clone is inside the region");
         assert!(got[0].offset < region_end);
+    }
+
+    #[test]
+    fn every_scoped_path_exists_in_the_workspace() {
+        // A deleted or renamed file must not silently drop out of a
+        // contract rule's scope.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for def in RULES {
+            for path in def.include.iter().chain(def.exclude) {
+                assert!(
+                    root.join(path).exists(),
+                    "rule `{}` scopes `{path}`, which does not exist",
+                    def.id
+                );
+            }
+        }
     }
 }

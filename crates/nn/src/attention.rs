@@ -2,7 +2,7 @@ use crate::activation::{scale_and_softmax_rows_in_place, softmax_rows, softmax_r
 use crate::gemm::{
     gemm_packed, matmul, pack_a_into, packed_len, transpose, transpose_into, Epilogue,
 };
-use crate::{Conv2d, GroupNorm, Param, Precision, Tensor, Workspace};
+use crate::{Conv2d, GroupNorm, Param, Tensor, Workspace};
 use rand::Rng;
 
 /// Single-head spatial self-attention block with a residual connection,
@@ -87,16 +87,10 @@ impl SelfAttention2d {
     /// subsequent [`SelfAttention2d::infer`] calls skip per-call packing.
     /// Call only once the weights are final.
     pub fn prepack(&mut self) {
-        self.prepack_with(Precision::Exact);
-    }
-
-    /// [`SelfAttention2d::prepack`] with an explicit weight precision for
-    /// the four 1x1 projections (the norm has no packed weights).
-    pub fn prepack_with(&mut self, precision: Precision) {
-        self.q.prepack_with(precision);
-        self.k.prepack_with(precision);
-        self.v.prepack_with(precision);
-        self.proj.prepack_with(precision);
+        self.q.prepack();
+        self.k.prepack();
+        self.v.prepack();
+        self.proj.prepack();
     }
 
     /// Inference forward pass from a shared reference: identical

@@ -1,8 +1,7 @@
 use crate::gemm::{
     gemm_packed, matmul, pack_a_into, packed_len, transpose, Epilogue, GroupNormSilu,
 };
-use crate::precision::bf16_round_slice;
-use crate::{GroupNorm, Param, Precision, Tensor, Workspace};
+use crate::{GroupNorm, Param, Tensor, Workspace};
 use rand::Rng;
 
 /// 2-D convolution over NCHW tensors, implemented as im2col + GEMM.
@@ -88,14 +87,6 @@ impl Conv2d {
     /// [`Conv2d::weight`] directly and then calling `infer` leaves the
     /// packed copy stale (re-run `prepack` after by-hand weight edits).
     pub fn prepack(&mut self) {
-        self.prepack_with(Precision::Exact);
-    }
-
-    /// [`Conv2d::prepack`] with an explicit weight precision: `Exact`
-    /// stores the packed weights bit-for-bit, `Bf16` rounds each packed
-    /// value to bfloat16 (see [`crate::bf16_round`]; the bias stays f32
-    /// and accumulation is unchanged).
-    pub fn prepack_with(&mut self, precision: Precision) {
         let (oc, ckk) = (
             self.out_channels(),
             self.in_channels() * self.kernel() * self.kernel(),
@@ -104,9 +95,6 @@ impl Conv2d {
         // (oc, ic*kh*kw) matrix — no reshape copy needed, only packing.
         let mut panel = vec![0.0f32; packed_len(oc, ckk)];
         pack_a_into(self.weight.value.data(), oc, ckk, &mut panel);
-        if precision == Precision::Bf16 {
-            bf16_round_slice(&mut panel);
-        }
         self.packed = Some(panel);
     }
 

@@ -15,11 +15,11 @@
 //! threads. The thread budget is `min(available_parallelism,
 //! DP_MAX_THREADS)` (the env var is read once per process), and inner
 //! parallelism can be disabled for a region with
-//! [`with_inner_gemm_parallelism`] — `GenerationSession` workers do this
-//! so data-parallel GEMM threads are never nested inside already-parallel
-//! sampling workers (thread oversubscription). Row partitioning never
-//! changes per-element accumulation order, so results are bit-identical
-//! at every thread count.
+//! [`with_inner_gemm_parallelism`] — every `PatternService` worker does
+//! this, so data-parallel GEMM threads are never nested inside the
+//! already-parallel worker pool (thread oversubscription). Row
+//! partitioning never changes per-element accumulation order, so results
+//! are bit-identical at every thread count.
 
 use crate::activation::silu_val;
 use crate::norm::group_stats;

@@ -71,7 +71,6 @@ mod gemm;
 mod linear;
 mod norm;
 mod param;
-mod precision;
 mod tensor;
 mod unet;
 mod upsample;
@@ -93,7 +92,6 @@ pub use gemm::{
 pub use linear::Linear;
 pub use norm::GroupNorm;
 pub use param::Param;
-pub use precision::{bf16_round, Precision};
 pub use tensor::Tensor;
 pub use unet::{UNet, UNetConfig};
 pub use upsample::{upsample_nearest2, upsample_nearest2_backward, upsample_nearest2_ws};

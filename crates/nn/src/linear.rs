@@ -1,8 +1,7 @@
 use crate::gemm::{
     gemm_packed, matmul, pack_a_into, packed_len, transpose, transpose_into, Epilogue,
 };
-use crate::precision::bf16_round_slice;
-use crate::{Param, Precision, Tensor, Workspace};
+use crate::{Param, Tensor, Workspace};
 use rand::Rng;
 
 /// A fully connected layer `y = x W^T + b` over 2-D inputs `(batch, in)`.
@@ -43,20 +42,9 @@ impl Linear {
     /// [`Linear::weight`] directly and then calling `infer` leaves the
     /// packed copy stale (re-run `prepack` after by-hand weight edits).
     pub fn prepack(&mut self) {
-        self.prepack_with(Precision::Exact);
-    }
-
-    /// [`Linear::prepack`] with an explicit weight precision: `Exact`
-    /// stores the transposed weights bit-for-bit, `Bf16` rounds each value
-    /// to bfloat16 (see [`crate::bf16_round`]; the bias stays f32 and
-    /// accumulation is unchanged).
-    pub fn prepack_with(&mut self, precision: Precision) {
         let (inf, outf) = (self.in_features(), self.out_features());
         let mut wt = vec![0.0f32; inf * outf];
         transpose_into(self.weight.value.data(), outf, inf, &mut wt);
-        if precision == Precision::Bf16 {
-            bf16_round_slice(&mut wt);
-        }
         self.packed_wt = Some(wt);
     }
 

@@ -3,7 +3,7 @@ use crate::dropout::Dropout;
 use crate::embedding::{sinusoidal_embedding, sinusoidal_embedding_ws};
 use crate::tensor::{cat_channels_into, cat_channels_shape};
 use crate::upsample::{upsample_nearest2, upsample_nearest2_backward, upsample_nearest2_ws};
-use crate::{Conv2d, GroupNorm, Linear, Param, Precision, SelfAttention2d, Tensor, Workspace};
+use crate::{Conv2d, GroupNorm, Linear, Param, SelfAttention2d, Tensor, Workspace};
 use rand::Rng;
 
 /// Configuration of the DDPM-style U-Net backbone (paper §IV-A).
@@ -144,13 +144,13 @@ impl ResBlock {
     }
 
     /// Prepacks the weights of every GEMM-backed sublayer (see
-    /// [`Conv2d::prepack_with`]).
-    fn prepack_with(&mut self, precision: Precision) {
-        self.conv1.prepack_with(precision);
-        self.temb_proj.prepack_with(precision);
-        self.conv2.prepack_with(precision);
+    /// [`Conv2d::prepack`]).
+    fn prepack(&mut self) {
+        self.conv1.prepack();
+        self.temb_proj.prepack();
+        self.conv2.prepack();
         if let Some(skip) = &mut self.skip {
-            skip.prepack_with(precision);
+            skip.prepack();
         }
     }
 
@@ -473,44 +473,35 @@ impl UNet {
     /// parameters directly and then calling [`UNet::infer`] without a
     /// fresh `prepack`, however, leaves the packed copies stale.
     pub fn prepack(&mut self) {
-        self.prepack_with(Precision::Exact);
-    }
-
-    /// [`UNet::prepack`] with an explicit weight precision for every
-    /// packed copy: [`Precision::Exact`] is the bit-exact default;
-    /// [`Precision::Bf16`] rounds packed weights to bfloat16 (f32
-    /// accumulation) for a smaller working set at an opt-in accuracy
-    /// cost. Re-running with a different precision replaces the packs.
-    pub fn prepack_with(&mut self, precision: Precision) {
-        self.time_lin1.prepack_with(precision);
-        self.time_lin2.prepack_with(precision);
-        self.stem.prepack_with(precision);
+        self.time_lin1.prepack();
+        self.time_lin2.prepack();
+        self.stem.prepack();
         for stage in &mut self.down {
             for (res, attn) in &mut stage.blocks {
-                res.prepack_with(precision);
+                res.prepack();
                 if let Some(attn) = attn {
-                    attn.prepack_with(precision);
+                    attn.prepack();
                 }
             }
             if let Some(down) = &mut stage.down {
-                down.prepack_with(precision);
+                down.prepack();
             }
         }
-        self.mid1.prepack_with(precision);
-        self.mid_attn.prepack_with(precision);
-        self.mid2.prepack_with(precision);
+        self.mid1.prepack();
+        self.mid_attn.prepack();
+        self.mid2.prepack();
         for stage in &mut self.up {
             for (res, attn) in &mut stage.blocks {
-                res.prepack_with(precision);
+                res.prepack();
                 if let Some(attn) = attn {
-                    attn.prepack_with(precision);
+                    attn.prepack();
                 }
             }
             if let Some(upc) = &mut stage.up {
-                upc.prepack_with(precision);
+                upc.prepack();
             }
         }
-        self.head_conv.prepack_with(precision);
+        self.head_conv.prepack();
     }
 
     /// Inference-only forward pass from a shared reference.

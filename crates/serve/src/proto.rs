@@ -15,7 +15,6 @@
 //!   "priority": 0,
 //!   "deadline_ms": 5000,
 //!   "sample_stride": 1,
-//!   "precision": "exact",
 //!   "max_attempts": 4,
 //!   "repair_bowties": true,
 //!   "rules": {"space_min": 60, "width_min": 60, "area_min": 4000,
@@ -59,8 +58,8 @@ use diffpattern::geometry::BitGrid;
 use diffpattern::legalize::{SolveStats, SolverConfig};
 use diffpattern::squish::SquishPattern;
 use diffpattern::{
-    Conditioning, FrozenRegion, Generated, Motif, MotifGuidance, PipelineReport, Precision,
-    Provenance, RequestSpec,
+    Conditioning, FrozenRegion, Generated, Motif, MotifGuidance, PipelineReport, Provenance,
+    RequestSpec,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -166,10 +165,6 @@ pub fn spec_to_json(spec: &RequestSpec) -> Json {
         ("seed".to_string(), Json::from(spec.seed)),
         ("priority".to_string(), Json::from(spec.priority)),
         ("sample_stride".to_string(), Json::from(spec.sample_stride)),
-        (
-            "precision".to_string(),
-            Json::Str(spec.precision.name().to_string()),
-        ),
         ("max_attempts".to_string(), Json::from(spec.max_attempts)),
         (
             "repair_bowties".to_string(),
@@ -224,17 +219,6 @@ pub fn spec_from_json(v: &Json) -> Result<RequestSpec, ProtoError> {
                 spec.deadline = Some(Duration::from_millis(u64_field(value, "deadline_ms")?));
             }
             "sample_stride" => spec.sample_stride = usize_field(value, "sample_stride")?,
-            "precision" => {
-                let name = value.as_str().ok_or(ProtoError::WrongType {
-                    field: "precision",
-                    expected: "\"exact\" or \"bf16\"",
-                })?;
-                spec.precision = Precision::parse(name).ok_or_else(|| {
-                    ProtoError::InvalidSpec(format!(
-                        "unknown precision `{name}` (expected exact or bf16)"
-                    ))
-                })?;
-            }
             "max_attempts" => spec.max_attempts = usize_field(value, "max_attempts")?,
             "repair_bowties" => spec.repair_bowties = bool_field(value, "repair_bowties")?,
             "rules" => spec.rules = rules_from_json(value)?,
@@ -965,7 +949,6 @@ mod tests {
         assert_eq!(a.priority, b.priority);
         assert_eq!(a.deadline, b.deadline);
         assert_eq!(a.sample_stride, b.sample_stride);
-        assert_eq!(a.precision, b.precision);
         assert_eq!(a.max_attempts, b.max_attempts);
         assert_eq!(a.repair_bowties, b.repair_bowties);
         assert_eq!(a.rules, b.rules);
@@ -992,8 +975,7 @@ mod tests {
         let donor = SquishPattern::new(grid, vec![512; 4], vec![1024; 2]).unwrap();
         let mut spec = RequestSpec::new(2)
             .deadline(Duration::from_millis(750))
-            .first_index(40)
-            .precision(Precision::Bf16);
+            .first_index(40);
         spec.donors = Arc::from([donor]);
         let wire = spec_to_json(&spec).to_string();
         let back = spec_from_json(&json::parse(&wire).unwrap()).unwrap();
@@ -1023,8 +1005,7 @@ mod tests {
                 r#"{"count": 1, "rules": {"space_min": -5}}"#,
                 "invalid_spec",
             ),
-            (r#"{"count": 1, "precision": "fp8"}"#, "invalid_spec"),
-            (r#"{"count": 1, "precision": 16}"#, "bad_request"),
+            (r#"{"count": 1, "precision": "exact"}"#, "unknown_field"),
             (
                 r#"{"count": 1, "donors": [{"topology": ["01", "0"], "dx": [1, 1], "dy": [1, 1]}]}"#,
                 "invalid_spec",

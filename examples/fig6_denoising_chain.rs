@@ -29,8 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Snapshot at 3K/4, K/2 and K/4 like the paper's strip (K and 0 are
     // always included by the tracer).
     let snaps = vec![3 * steps / 4, steps / 2, steps / 4];
-    let trace =
-        sampler.sample_with_trace_infer(&model, model.channels(), model.side(), &snaps, &mut rng);
+    let trace = sampler.sample_with_trace(&model, model.channels(), model.side(), &snaps, &mut rng);
 
     for (k, tensor) in &trace.snapshots {
         let grid = tensor.unfold();

@@ -24,10 +24,11 @@
 use diffpattern::geometry::runs;
 use diffpattern::library::{LibraryConfig, LibraryWriter};
 use diffpattern::squish::SquishPattern;
-use diffpattern::{Pipeline, PipelineConfig};
+use diffpattern::{PatternService, Pipeline, PipelineConfig};
 use diffpattern_suite::{env_knob, example_rng};
 use std::io::Write;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 const METHOD: &str = "diffpattern";
 const RULESET: &str = "tiny";
@@ -53,12 +54,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cursor = writer.open_bucket(METHOD, RULESET, 0)? as usize;
     if cursor < generate {
         println!("generating items {cursor}..{generate} into the store...");
-        let model = pipeline.trained_model()?;
-        let session = pipeline
-            .session_builder(&model)
-            .seed(env_knob("DP_SEED", 42) as u64)
-            .build()?;
-        let batch = session.generate(generate)?;
+        let spec = pipeline
+            .request_spec(generate)
+            .seed(env_knob("DP_SEED", 42) as u64);
+        let service = PatternService::builder(Arc::new(pipeline.trained_model()?)).build()?;
+        let batch = service.generate(&spec)?;
         for generated in batch.items.iter().skip(cursor) {
             writer.ingest_arrival(METHOD, RULESET, &generated.pattern, true)?;
         }

@@ -1,6 +1,6 @@
 //! Quickstart: the full DiffPattern loop on a small synthetic dataset,
 //! through the train/infer split — train a [`Pipeline`], freeze a
-//! [`TrainedModel`], batch-generate with a [`GenerationSession`].
+//! [`TrainedModel`], batch-generate with a [`PatternService`].
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -10,8 +10,9 @@
 //! (default 8), `DP_THREADS` (default 0 = all cores), `DP_SEED`.
 
 use diffpattern::render::pattern_to_ascii;
-use diffpattern::{Pipeline, PipelineConfig};
+use diffpattern::{PatternService, Pipeline, PipelineConfig};
 use diffpattern_suite::{env_knob, example_rng};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = example_rng();
@@ -42,18 +43,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Freeze training into an immutable, shareable model, then generate
-    // through a session: sample -> pre-filter -> solve, across threads.
-    let model = pipeline.trained_model()?;
-    let session = pipeline
-        .session_builder(&model)
+    // through a service: sample -> pre-filter -> solve, across threads.
+    let spec = pipeline
+        .request_spec(generate)
+        .seed(env_knob("DP_SEED", 42) as u64);
+    let service = PatternService::builder(Arc::new(pipeline.into_trained_model()?))
         .threads(threads)
-        .seed(env_knob("DP_SEED", 42) as u64)
         .build()?;
     println!(
         "generating {generate} legal patterns on {} threads...",
-        session.threads()
+        service.threads()
     );
-    let batch = session.generate(generate)?;
+    let batch = service.generate(&spec)?;
     let r = batch.report;
     println!(
         "sampled {} topologies, pre-filter rejected {} / repaired {}, solver failures {}, \
@@ -67,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for g in batch.items.iter().take(2) {
-        let drc = diffpattern::drc::check_pattern(&g.pattern, session.rules());
+        let drc = diffpattern::drc::check_pattern(&g.pattern, &spec.rules);
         println!(
             "\npattern {} (seed {:#x}, {} attempts): complexity {:?}, DRC clean = {}",
             g.provenance.index,

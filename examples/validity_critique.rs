@@ -16,8 +16,9 @@
 
 use diffpattern::baselines::{AeConfig, Cae, ValidityScorer};
 use diffpattern::geometry::BitGrid;
-use diffpattern::{Pipeline, PipelineConfig};
+use diffpattern::{PatternService, Pipeline, PipelineConfig};
 use diffpattern_suite::{env_knob, example_rng};
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = example_rng();
@@ -49,12 +50,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "training DiffPattern for {train_iters} iterations and generating {generate} topologies..."
     );
     let _ = pipeline.train(train_iters, &mut rng)?;
-    let model = pipeline.trained_model()?;
-    let session = pipeline
-        .session_builder(&model)
-        .seed(env_knob("DP_SEED", 42) as u64)
-        .build()?;
-    let (diffpattern_topos, _) = session.sample_topologies(generate);
+    let spec = pipeline
+        .request_spec(generate)
+        .seed(env_knob("DP_SEED", 42) as u64);
+    let service = PatternService::builder(Arc::new(pipeline.trained_model()?)).build()?;
+    let (diffpattern_topos, _) = service.sample_topologies(&spec)?;
 
     // An overfit generator: a CAE that memorises the training set and
     // regurgitates lightly perturbed reconstructions.

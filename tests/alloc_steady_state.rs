@@ -1,5 +1,6 @@
-//! Proves the zero-allocation claim of the inference engine: once a
-//! worker's [`SampleScratch`] is warm, the K-step denoising loop performs
+//! Proves the zero-allocation claim of the inference engine for a single
+//! chain: once a worker's [`BatchScratch`] is warm, the K-step denoising
+//! loop of one chain (a batch of one through the sampling core) performs
 //! **no per-step heap allocations**.
 //!
 //! Method: a counting global allocator tallies allocation events while one
@@ -9,13 +10,17 @@
 //! 10-step count by at least 50; the test asserts the counts are equal,
 //! pinning the per-step allocation count to exactly zero without having
 //! to hardcode the (small, constant) per-sample overhead.
+//! `alloc_steady_state_batched.rs` makes the same claim for several
+//! lock-step lanes.
 //!
 //! The allocator needs `unsafe` to delegate to the system allocator; the
 //! workspace itself is `#![forbid(unsafe_code)]`.
 
 #![allow(unsafe_code)]
 
-use diffpattern::diffusion::{NeuralDenoiser, NoiseSchedule, SampleScratch, TrainedModel};
+use diffpattern::diffusion::{
+    BatchScratch, Conditioning, NeuralDenoiser, NoiseSchedule, TrainedModel,
+};
 use diffpattern::nn::{with_inner_gemm_parallelism, UNet, UNetConfig};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,29 +88,44 @@ fn model(steps: usize) -> TrainedModel {
 fn steady_state_sampling_allocates_nothing_per_denoising_step() {
     let short = model(10);
     let long = model(60);
-    let sampler_short = short.sampler();
-    let sampler_long = long.sampler();
-    let mut scratch = SampleScratch::new();
+    let none = Conditioning::none();
+    let mut scratch = BatchScratch::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    // Allocation events of one full-chain sample (the sampler and its
+    // step list are built outside the count).
+    let mut draw = |model: &TrainedModel| {
+        let sampler = model.sampler();
+        let full = sampler.strided_steps(1);
+        counted(|| {
+            sampler.sample_conditioned_batch_with(
+                model,
+                4,
+                8,
+                &full,
+                &none,
+                std::slice::from_mut(&mut rng),
+                &mut scratch,
+            )
+        })
+        .0
+    };
 
-    // Inner GEMM threads would allocate on spawn; sessions disable them in
-    // workers, so the measurement mirrors the worker configuration.
+    // Inner GEMM threads would allocate on spawn; service workers disable
+    // them, so the measurement mirrors the worker configuration.
     with_inner_gemm_parallelism(false, || {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         // Warm-up: first samples size the workspace pool and the p1
         // buffer.
         for _ in 0..2 {
-            let _ = sampler_short.sample_one_with(&short, 4, 8, &mut rng, &mut scratch);
-            let _ = sampler_long.sample_one_with(&long, 4, 8, &mut rng, &mut scratch);
+            let _ = draw(&short);
+            let _ = draw(&long);
         }
 
-        let (short_allocs, _) =
-            counted(|| sampler_short.sample_one_with(&short, 4, 8, &mut rng, &mut scratch));
-        let (long_allocs, _) =
-            counted(|| sampler_long.sample_one_with(&long, 4, 8, &mut rng, &mut scratch));
+        let short_allocs = draw(&short);
+        let long_allocs = draw(&long);
 
         // 50 extra denoising steps, zero extra allocations: the whole
         // loop runs out of the warm scratch. (The small constant is the
-        // per-sample cost: the returned tensor itself.)
+        // per-sample cost: the state tensor and the returned vector.)
         assert_eq!(
             long_allocs, short_allocs,
             "per-step allocations detected: 10-step chain allocated {short_allocs}, \

@@ -15,7 +15,9 @@
 
 #![allow(unsafe_code)]
 
-use diffpattern::diffusion::{BatchScratch, NeuralDenoiser, NoiseSchedule, TrainedModel};
+use diffpattern::diffusion::{
+    BatchScratch, Conditioning, NeuralDenoiser, NoiseSchedule, TrainedModel,
+};
 use diffpattern::nn::{with_inner_gemm_parallelism, UNet, UNetConfig};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -83,30 +85,41 @@ fn steady_state_batched_sampling_allocates_nothing_per_denoising_step() {
     const LANES: u64 = 3;
     let short = model(10);
     let long = model(60);
-    let sampler_short = short.sampler();
-    let sampler_long = long.sampler();
+    let none = Conditioning::none();
     let mut scratch = BatchScratch::new();
-    let rngs = |base: u64| -> Vec<rand::rngs::StdRng> {
-        (0..LANES)
+    // Allocation events of one full-chain batch of LANES chains (sampler,
+    // step list and RNGs are built outside the count).
+    let mut draw = |model: &TrainedModel, base: u64| {
+        let sampler = model.sampler();
+        let full = sampler.strided_steps(1);
+        let mut rngs: Vec<rand::rngs::StdRng> = (0..LANES)
             .map(|i| rand::rngs::StdRng::seed_from_u64(base + i))
-            .collect()
+            .collect();
+        counted(|| {
+            sampler.sample_conditioned_batch_with(
+                model,
+                4,
+                8,
+                &full,
+                &none,
+                &mut rngs,
+                &mut scratch,
+            )
+        })
+        .0
     };
 
-    // Inner GEMM threads would allocate on spawn; sessions disable them in
-    // workers, so the measurement mirrors the worker configuration.
+    // Inner GEMM threads would allocate on spawn; service workers disable
+    // them, so the measurement mirrors the worker configuration.
     with_inner_gemm_parallelism(false, || {
         // Warm-up: size the workspace pool and the concatenated p1 buffer.
         for round in 0..2u64 {
-            let _ = sampler_short.sample_batch_with(&short, 4, 8, &mut rngs(round), &mut scratch);
-            let _ = sampler_long.sample_batch_with(&long, 4, 8, &mut rngs(round), &mut scratch);
+            let _ = draw(&short, round);
+            let _ = draw(&long, round);
         }
 
-        let mut r = rngs(10);
-        let (short_allocs, _) =
-            counted(|| sampler_short.sample_batch_with(&short, 4, 8, &mut r, &mut scratch));
-        let mut r = rngs(11);
-        let (long_allocs, _) =
-            counted(|| sampler_long.sample_batch_with(&long, 4, 8, &mut r, &mut scratch));
+        let short_allocs = draw(&short, 10);
+        let long_allocs = draw(&long, 11);
 
         // 50 extra lock-step denoising rounds, zero extra allocations.
         assert_eq!(

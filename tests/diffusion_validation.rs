@@ -3,10 +3,32 @@
 //! neural network.
 
 use diffpattern::diffusion::{
-    forward_sample, NoiseSchedule, OracleDenoiser, Sampler, UniformDenoiser,
+    forward_sample, BatchScratch, Conditioning, InferenceDenoiser, NoiseSchedule, OracleDenoiser,
+    Sampler, UniformDenoiser,
 };
 use diffpattern::squish::DeepSquishTensor;
 use rand::SeedableRng;
+
+/// One full-chain sample on `rng` (the sampling core at B = 1).
+fn draw(
+    sampler: &Sampler,
+    denoiser: &dyn InferenceDenoiser,
+    channels: usize,
+    side: usize,
+    rng: &mut rand::rngs::StdRng,
+) -> DeepSquishTensor {
+    sampler
+        .sample_conditioned_batch_with(
+            denoiser,
+            channels,
+            side,
+            &sampler.strided_steps(1),
+            &Conditioning::none(),
+            std::slice::from_mut(rng),
+            &mut BatchScratch::new(),
+        )
+        .remove(0)
+}
 
 #[test]
 fn paper_schedule_converges_to_uniform() {
@@ -29,8 +51,8 @@ fn oracle_reconstruction_at_paper_scale() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let bits: Vec<bool> = (0..256).map(|i| (i % 7) < 3).collect();
     let x0 = DeepSquishTensor::from_bits(4, 8, bits).unwrap();
-    let mut oracle = OracleDenoiser::new(x0.clone(), 0.999);
-    let out = sampler.sample_one(&mut oracle, 4, 8, &mut rng);
+    let oracle = OracleDenoiser::new(x0.clone(), 0.999);
+    let out = draw(&sampler, &oracle, 4, 8, &mut rng);
     let hamming: usize = out
         .bits()
         .iter()
@@ -72,10 +94,9 @@ fn uniform_denoiser_yields_half_density() {
     let schedule = NoiseSchedule::linear(100, 0.01, 0.5).unwrap();
     let sampler = Sampler::new(schedule);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let mut d = UniformDenoiser::new();
-    let samples = sampler.sample(&mut d, 1, 16, 8, &mut rng);
-    let ones: usize = samples
-        .iter()
+    let d = UniformDenoiser::new();
+    let ones: usize = (0..8)
+        .map(|_| draw(&sampler, &d, 1, 16, &mut rng))
         .map(|s| s.bits().iter().filter(|&&b| b).count())
         .sum();
     let frac = ones as f64 / (8.0 * 256.0);

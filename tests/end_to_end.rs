@@ -1,6 +1,5 @@
 //! Cross-crate integration: the full DiffPattern pipeline from synthetic
-//! map to DRC-clean patterns, through both the borrowing session API and
-//! the owned `PatternService`.
+//! map to DRC-clean patterns through `PatternService`.
 
 use diffpattern::drc::check_pattern;
 use diffpattern::{PatternService, Pipeline, PipelineConfig};
@@ -12,12 +11,16 @@ fn pipeline_produces_only_legal_patterns() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let mut pipeline = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng).unwrap();
     let _ = pipeline.train(5, &mut rng).unwrap();
-    let model = pipeline.trained_model().unwrap();
-    let session = pipeline.session_builder(&model).seed(11).build().unwrap();
-    let batch = session.generate(4).unwrap();
+    let spec = pipeline.request_spec(4).seed(11);
+    let model = Arc::new(pipeline.into_trained_model().unwrap());
+    let batch = PatternService::builder(model)
+        .build()
+        .unwrap()
+        .generate(&spec)
+        .unwrap();
     assert!(!batch.items.is_empty(), "pipeline produced nothing");
     for g in &batch.items {
-        let report = check_pattern(&g.pattern, session.rules());
+        let report = check_pattern(&g.pattern, &spec.rules);
         assert!(report.is_clean(), "{:?}", report.violations());
         // Window pinning (Eq. 14 sum constraints).
         assert_eq!(g.pattern.width(), 2048);
@@ -57,9 +60,13 @@ fn strict_prefilter_rejects_instead_of_repairing() {
     config.repair_bowties = false;
     let mut pipeline = Pipeline::from_synthetic_map(config, &mut rng).unwrap();
     let _ = pipeline.train(3, &mut rng).unwrap();
-    let model = pipeline.trained_model().unwrap();
-    let session = pipeline.session_builder(&model).seed(13).build().unwrap();
-    let (topos, report) = session.sample_topologies(2);
+    let spec = pipeline.request_spec(2).seed(13);
+    let model = Arc::new(pipeline.into_trained_model().unwrap());
+    let (topos, report) = PatternService::builder(model)
+        .build()
+        .unwrap()
+        .sample_topologies(&spec)
+        .unwrap();
     assert_eq!(report.prefilter_repaired, 0);
     // Every returned topology is genuinely bow-tie free.
     for t in &topos {

@@ -73,14 +73,15 @@ proptest! {
 
 #[test]
 fn pipeline_is_deterministic_under_fixed_seed() {
-    use diffpattern::{Pipeline, PipelineConfig};
+    use diffpattern::{PatternService, Pipeline, PipelineConfig};
     let run = || {
         let mut rng = rand::rngs::StdRng::seed_from_u64(77);
         let mut p = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng).unwrap();
         let _ = p.train(3, &mut rng).unwrap();
-        let model = p.trained_model().unwrap();
-        let session = p.session_builder(&model).seed(77).build().unwrap();
-        session.generate(2).unwrap().items
+        let spec = p.request_spec(2).seed(77);
+        let model = std::sync::Arc::new(p.into_trained_model().unwrap());
+        let service = PatternService::builder(model).build().unwrap();
+        service.generate(&spec).unwrap().items
     };
     let a = run();
     let b = run();

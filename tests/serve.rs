@@ -20,7 +20,7 @@ use diffpattern::library::{Library, LibraryConfig};
 use diffpattern::squish::{DeepSquishTensor, SquishPattern};
 use diffpattern::{
     Conditioning, FrozenRegion, Generated, Motif, MotifGuidance, PatternService, Pipeline,
-    PipelineConfig, Precision, Provenance, RequestSpec, TrainedModel,
+    PipelineConfig, Provenance, RequestSpec, TrainedModel,
 };
 use dp_serve::http::Conn;
 use dp_serve::json::{self, Json};
@@ -157,6 +157,12 @@ fn invalid_bodies_get_structured_errors_and_connection_survives() {
     // these are well-formed HTTP, so the server keeps the session open.
     let cases: &[(&str, u16, &str)] = &[
         ("{\"count\": 1, \"cuont\": 2}", 400, "unknown_field"),
+        // `precision` is not a spec field: an unknown field like any other.
+        (
+            "{\"count\": 1, \"precision\": \"exact\"}",
+            400,
+            "unknown_field",
+        ),
         ("{\"count\": 1", 400, "malformed_json"),
         ("not json at all", 400, "malformed_json"),
         ("{\"count\": 0}", 422, "invalid_spec"),
@@ -706,7 +712,6 @@ proptest! {
         has_deadline in any::<bool>(),
         donor_seed in any::<u64>(),
         donor_n in 0usize..3,
-        bf16 in any::<bool>(),
         frozen_len in 1usize..64,
         frozen_kind in 0u8..4,
     ) {
@@ -737,7 +742,6 @@ proptest! {
             donors: Arc::from(donors.into_boxed_slice()),
             conditioning: Arc::new(random_conditioning(seed, frozen_len, frozen_kind)),
             deadline: has_deadline.then(|| Duration::from_millis(deadline_ms)),
-            precision: if bf16 { Precision::Bf16 } else { Precision::Exact },
         };
 
         let wire = dp_serve::proto::spec_to_json(&spec).to_string();
@@ -758,7 +762,6 @@ proptest! {
         prop_assert_eq!(spec.repair_bowties, back.repair_bowties);
         prop_assert_eq!(spec.donors.as_ref(), back.donors.as_ref());
         prop_assert_eq!(spec.deadline, back.deadline);
-        prop_assert_eq!(spec.precision, back.precision);
         // Conditioning survives exactly: frozen mask/bits bit-for-bit,
         // motif preset and guidance weight to the last ulp (plan_hash
         // covers all of it canonically).
