@@ -3,9 +3,12 @@
 //! Solving-E initialisation. The paper reports 0.544 s sampling (GPU),
 //! 0.269 s Solving-R and 0.117 s Solving-E (2.30x); the absolute numbers
 //! here differ (CPU, reduced scale) but the *ordering and the R/E ratio
-//! shape* are the reproduction target.
+//! shape* are the reproduction target. A third group times one training
+//! step of the shipped profile, the cost that bounds the model scale this
+//! CPU stack can train.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use diffpattern::{Pipeline, PipelineConfig};
 use dp_bench::{bench_patterns, bench_topology};
 use dp_diffusion::{BatchScratch, Conditioning, NoiseSchedule, Sampler, UniformDenoiser};
 use dp_drc::DesignRules;
@@ -155,5 +158,28 @@ fn solving(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, sampling, solving);
+/// One optimisation step of `PipelineConfig::default()`, the shipped
+/// profile: `Pipeline::train(1, ..)` on its synthetic dataset — forward,
+/// VB loss, backward and Adam at the shipped batch width. The
+/// shipped-profile benchmark's set-up repeats exactly this step.
+fn training(c: &mut Criterion) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let config = PipelineConfig::default();
+    let label = format!("step_shipped_B{}", config.train.batch_size);
+    let mut pipeline =
+        Pipeline::from_synthetic_map(config, &mut rng).expect("the shipped profile is valid");
+
+    let mut group = c.benchmark_group("table2/training");
+    group.sample_size(10);
+    group.bench_function(label, |b| {
+        b.iter(|| {
+            pipeline
+                .train(1, &mut rng)
+                .expect("the shipped dataset trains")
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, sampling, solving, training);
 criterion_main!(benches);

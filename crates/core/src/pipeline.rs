@@ -302,6 +302,10 @@ impl Pipeline {
 
     /// Trains the diffusion model for `iterations` steps.
     ///
+    /// Like every [`Trainer::train`] call, the steps run with serial GEMMs
+    /// whatever the caller's [`crate::nn::with_inner_gemm_parallelism`]
+    /// setting; the trained bytes are the same either way.
+    ///
     /// # Errors
     ///
     /// Propagates dataset/shape errors from the diffusion trainer.

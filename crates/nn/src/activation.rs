@@ -152,26 +152,28 @@ fn exp_and_normalise(row: &mut [f32], max: f32) {
     }
 }
 
-/// Backward of row-wise softmax: given the softmax output `y` and upstream
-/// gradient `grad_out`, returns the gradient with respect to the logits.
+/// Backward of row-wise softmax, in place: `grad` holds the upstream
+/// gradient with respect to the softmax output `y` (both row-major with
+/// `cols` columns) and is overwritten with `scale` times the gradient with
+/// respect to the logits, `y * (grad - <y, grad>) * scale` per row — the
+/// attention path's `softmax(q^T k * scale)` chain rule in one pass.
 ///
 /// # Panics
 ///
-/// Panics on shape mismatch or non-2-D input.
-pub fn softmax_rows_backward(y: &Tensor, grad_out: &Tensor) -> Tensor {
-    assert_eq!(y.shape(), grad_out.shape(), "shape mismatch");
-    assert_eq!(y.shape().len(), 2, "softmax_rows expects 2-D input");
-    let (rows, cols) = (y.shape()[0], y.shape()[1]);
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        let yr = &y.data()[r * cols..(r + 1) * cols];
-        let gr = &grad_out.data()[r * cols..(r + 1) * cols];
-        let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
-        for ((o, &yv), &gv) in out[r * cols..(r + 1) * cols].iter_mut().zip(yr).zip(gr) {
-            *o = yv * (gv - dot);
+/// Panics on length mismatch or when the length is not a multiple of
+/// `cols`.
+pub(crate) fn softmax_rows_backward_in_place(y: &[f32], grad: &mut [f32], cols: usize, scale: f32) {
+    assert_eq!(y.len(), grad.len(), "shape mismatch");
+    assert!(
+        cols > 0 && y.len().is_multiple_of(cols),
+        "data length must be a multiple of the column count"
+    );
+    for (yr, gr) in y.chunks(cols).zip(grad.chunks_mut(cols)) {
+        let dot: f32 = yr.iter().zip(gr.iter()).map(|(a, b)| a * b).sum();
+        for (g, &yv) in gr.iter_mut().zip(yr) {
+            *g = yv * (*g - dot) * scale;
         }
     }
-    Tensor::from_vec(&[rows, cols], out)
 }
 
 fn sigmoid(v: f32) -> f32 {
@@ -238,7 +240,8 @@ mod tests {
         // Loss: weighted sum of softmax outputs.
         let w = Tensor::randn(&[2, 5], 1.0, &mut rng);
         let y = softmax_rows(&x);
-        let analytic = softmax_rows_backward(&y, &w);
+        let mut analytic = w.clone();
+        softmax_rows_backward_in_place(y.data(), analytic.data_mut(), 5, 1.0);
         let w2 = w.clone();
         let numeric = finite_diff(&x, move |t| {
             softmax_rows(t)

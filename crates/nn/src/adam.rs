@@ -99,26 +99,33 @@ impl Adam {
         let bc1 = 1.0 - self.config.beta1.powf(t);
         let bc2 = 1.0 - self.config.beta2.powf(t);
 
+        let AdamConfig {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            ..
+        } = self.config;
         for (i, p) in params.iter_mut().enumerate() {
             assert_eq!(
                 self.m[i].shape(),
                 p.value.shape(),
                 "parameter {i} changed shape"
             );
-            let m = self.m[i].data_mut();
-            let v = self.v[i].data_mut();
-            let grads = p.grad.data();
-            // Update moments and compute the step in one pass.
-            let mut updates = vec![0.0f32; grads.len()];
-            for (j, &g) in grads.iter().enumerate() {
-                m[j] = self.config.beta1 * m[j] + (1.0 - self.config.beta1) * g;
-                v[j] = self.config.beta2 * v[j] + (1.0 - self.config.beta2) * g * g;
-                let m_hat = m[j] / bc1;
-                let v_hat = v[j] / bc2;
-                updates[j] = self.config.lr * m_hat / (v_hat.sqrt() + self.config.eps);
-            }
-            for (value, u) in p.value.data_mut().iter_mut().zip(&updates) {
-                *value -= u;
+            let moments = self.m[i].data_mut().iter_mut().zip(self.v[i].data_mut());
+            // Update the moments and apply the step in one pass.
+            for ((value, &g), (m, v)) in p
+                .value
+                .data_mut()
+                .iter_mut()
+                .zip(p.grad.data())
+                .zip(moments)
+            {
+                *m = beta1 * *m + (1.0 - beta1) * g;
+                *v = beta2 * *v + (1.0 - beta2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *value -= lr * m_hat / (v_hat.sqrt() + eps);
             }
             p.zero_grad();
         }
@@ -171,6 +178,93 @@ mod tests {
         // First Adam step with bias correction moves by ~lr regardless, but
         // clipping must have prevented inf/nan.
         assert!(p.value.data()[0].is_finite());
+    }
+
+    /// The two-pass update this optimizer used to run (moments and a
+    /// per-parameter `updates` buffer first, then the subtraction), kept
+    /// as the bit-exact reference. `m`/`v` are its own moment buffers.
+    fn reference_step(
+        config: &AdamConfig,
+        step: u64,
+        m: &mut [Vec<f32>],
+        v: &mut [Vec<f32>],
+        params: &mut [Param],
+    ) {
+        if let Some(clip) = config.grad_clip {
+            let norm_sq: f32 = params
+                .iter()
+                .map(|p| p.grad.data().iter().map(|g| g * g).sum::<f32>())
+                .sum();
+            let norm = norm_sq.sqrt();
+            if norm > clip {
+                let scale = clip / norm;
+                for p in params.iter_mut() {
+                    for g in p.grad.data_mut() {
+                        *g *= scale;
+                    }
+                }
+            }
+        }
+        let t = step as f32;
+        let bc1 = 1.0 - config.beta1.powf(t);
+        let bc2 = 1.0 - config.beta2.powf(t);
+        for (i, p) in params.iter_mut().enumerate() {
+            let grads = p.grad.data();
+            let mut updates = vec![0.0f32; grads.len()];
+            for (j, &g) in grads.iter().enumerate() {
+                m[i][j] = config.beta1 * m[i][j] + (1.0 - config.beta1) * g;
+                v[i][j] = config.beta2 * v[i][j] + (1.0 - config.beta2) * g * g;
+                let m_hat = m[i][j] / bc1;
+                let v_hat = v[i][j] / bc2;
+                updates[j] = config.lr * m_hat / (v_hat.sqrt() + config.eps);
+            }
+            for (value, u) in p.value.data_mut().iter_mut().zip(&updates) {
+                *value -= u;
+            }
+            p.zero_grad();
+        }
+    }
+
+    #[test]
+    fn single_pass_step_is_bit_identical_to_two_pass_reference() {
+        use rand::SeedableRng;
+        let bits = |p: &Param| {
+            p.value
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        // Clip 0.5 binds (random gradients have norm ~ 10), 1e9 never
+        // does, `None` skips the norm entirely.
+        for grad_clip in [Some(0.5), Some(1e9), None] {
+            let config = AdamConfig {
+                lr: 1e-2,
+                grad_clip,
+                ..AdamConfig::default()
+            };
+            let shapes: [&[usize]; 3] = [&[3, 5], &[7], &[2, 2, 3, 3]];
+            let mut live: Vec<Param> = shapes
+                .iter()
+                .map(|s| Param::new(Tensor::randn(s, 1.0, &mut rng)))
+                .collect();
+            let mut reference = live.clone();
+            let mut m: Vec<Vec<f32>> = live.iter().map(|p| vec![0.0; p.len()]).collect();
+            let mut v = m.clone();
+            let mut adam = Adam::new(config);
+            for step in 1..=5u64 {
+                for (p, r) in live.iter_mut().zip(reference.iter_mut()) {
+                    p.grad = Tensor::randn(p.value.shape(), 2.0, &mut rng);
+                    r.grad = p.grad.clone();
+                }
+                adam.step(&mut live.iter_mut().collect::<Vec<_>>());
+                reference_step(&config, step, &mut m, &mut v, &mut reference);
+                for (p, r) in live.iter().zip(&reference) {
+                    assert_eq!(bits(p), bits(r), "clip {grad_clip:?} step {step}");
+                }
+            }
+        }
     }
 
     #[test]

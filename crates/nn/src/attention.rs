@@ -1,6 +1,6 @@
-use crate::activation::{scale_and_softmax_rows_in_place, softmax_rows, softmax_rows_backward};
+use crate::activation::{scale_and_softmax_rows_in_place, softmax_rows_backward_in_place};
 use crate::gemm::{
-    gemm_packed, matmul, pack_a_into, packed_len, transpose, transpose_into, Epilogue,
+    gemm_packed, pack_a_into, pack_a_transposed_into, packed_len, transpose_into, Epilogue,
 };
 use crate::{Conv2d, GroupNorm, Param, Tensor, Workspace};
 use rand::Rng;
@@ -23,9 +23,13 @@ pub struct SelfAttention2d {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    /// Per batch item: (q, k, v) as `(c, L)` matrices and attention `(L, L)`.
-    per_item: Vec<(Tensor, Tensor, Tensor, Tensor)>,
-    shape: [usize; 4],
+    /// The q, k and v projections `(n, c, h, w)`: each batch item's channel
+    /// block is its `(c, L)` matrix, borrowed as a slice.
+    qs: Tensor,
+    ks: Tensor,
+    vs: Tensor,
+    /// Attention weights `(n, L, L)`.
+    attn: Tensor,
 }
 
 impl SelfAttention2d {
@@ -45,7 +49,9 @@ impl SelfAttention2d {
         }
     }
 
-    /// Forward pass.
+    /// Forward pass. The per-item products are packed GEMMs over the
+    /// borrowed `(c, L)` slices, the same kernels and accumulation order as
+    /// [`SelfAttention2d::infer`].
     ///
     /// # Panics
     ///
@@ -61,23 +67,24 @@ impl SelfAttention2d {
         let vs = self.v.forward(&normed);
 
         let mut attended = Tensor::zeros(&[n, c, h, w]);
-        let mut per_item = Vec::with_capacity(n);
+        let mut attn = Tensor::zeros(&[n, l, l]);
+        let mut panel_qt = vec![0.0f32; packed_len(l, c)];
+        let mut panel_v = vec![0.0f32; packed_len(c, l)];
+        let mut attn_t = vec![0.0f32; l * l];
         for ni in 0..n {
-            let qm = slice_to_mat(&qs, ni, c, l);
-            let km = slice_to_mat(&ks, ni, c, l);
-            let vm = slice_to_mat(&vs, ni, c, l);
-            // scores (L, L) = q^T k * scale
-            let scores = matmul(&transpose(&qm), &km).scale(scale);
-            let attn = softmax_rows(&scores);
+            let (i0, i1) = (ni * c * l, (ni + 1) * c * l);
+            let a = &mut attn.data_mut()[ni * l * l..(ni + 1) * l * l];
+            // scores (L, L) = q^T k * scale, softmaxed in place
+            pack_a_transposed_into(&qs.data()[i0..i1], l, c, &mut panel_qt);
+            gemm_packed(&panel_qt, &ks.data()[i0..i1], a, l, c, l, Epilogue::Zero);
+            scale_and_softmax_rows_in_place(a, l, scale);
             // out (c, L) = v attn^T
-            let out = matmul(&vm, &transpose(&attn));
-            write_mat(&mut attended, &out, ni, c, l, w);
-            per_item.push((qm, km, vm, attn));
+            transpose_into(a, l, l, &mut attn_t);
+            pack_a_into(&vs.data()[i0..i1], c, l, &mut panel_v);
+            let out = &mut attended.data_mut()[i0..i1];
+            gemm_packed(&panel_v, &attn_t, out, c, l, l, Epilogue::Zero);
         }
-        self.cache = Some(Cache {
-            per_item,
-            shape: [n, c, h, w],
-        });
+        self.cache = Some(Cache { qs, ks, vs, attn });
 
         let projected = self.proj.forward(&attended);
         x.add(&projected)
@@ -180,8 +187,8 @@ impl SelfAttention2d {
     ///
     /// Panics when called before `forward`.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.take().expect("backward before forward");
-        let [n, c, h, w] = cache.shape;
+        let Cache { qs, ks, vs, attn } = self.cache.take().expect("backward before forward");
+        let (n, c, h, w) = shape4(&qs);
         let l = h * w;
         let scale = 1.0 / (c as f32).sqrt();
 
@@ -191,26 +198,38 @@ impl SelfAttention2d {
         let mut grad_q = Tensor::zeros(&[n, c, h, w]);
         let mut grad_k = Tensor::zeros(&[n, c, h, w]);
         let mut grad_v = Tensor::zeros(&[n, c, h, w]);
-        for (ni, (qm, km, vm, attn)) in cache.per_item.iter().enumerate() {
+        let mut panel_c = vec![0.0f32; packed_len(c, l)];
+        let mut panel_go_t = vec![0.0f32; packed_len(l, c)];
+        let mut dscores = vec![0.0f32; l * l];
+        let mut dscores_t = vec![0.0f32; l * l];
+        for ni in 0..n {
+            let (i0, i1) = (ni * c * l, (ni + 1) * c * l);
+            let go = &grad_attended.data()[i0..i1];
+            let a = &attn.data()[ni * l * l..(ni + 1) * l * l];
             // go is (c, L); out = v attn^T  =>  dv = go attn ; dattn = go^T v
-            let go = slice_to_mat(&grad_attended, ni, c, l);
-            let dv = matmul(&go, attn);
-            let dattn = matmul(&transpose(&go), vm);
-            let dscores = softmax_rows_backward(attn, &dattn).scale(scale);
+            pack_a_into(go, c, l, &mut panel_c);
+            let dv = &mut grad_v.data_mut()[i0..i1];
+            gemm_packed(&panel_c, a, dv, c, l, l, Epilogue::Zero);
+            pack_a_transposed_into(go, l, c, &mut panel_go_t);
+            let vm = &vs.data()[i0..i1];
+            gemm_packed(&panel_go_t, vm, &mut dscores, l, c, l, Epilogue::Zero);
+            softmax_rows_backward_in_place(a, &mut dscores, l, scale);
             // scores = q^T k  =>  dq = k dscores^T ; dk = q dscores
-            let dq = matmul(km, &transpose(&dscores));
-            let dk = matmul(qm, &dscores);
-            write_mat(&mut grad_q, &dq, ni, c, l, w);
-            write_mat(&mut grad_k, &dk, ni, c, l, w);
-            write_mat(&mut grad_v, &dv, ni, c, l, w);
+            transpose_into(&dscores, l, l, &mut dscores_t);
+            pack_a_into(&ks.data()[i0..i1], c, l, &mut panel_c);
+            let dq = &mut grad_q.data_mut()[i0..i1];
+            gemm_packed(&panel_c, &dscores_t, dq, c, l, l, Epilogue::Zero);
+            pack_a_into(&qs.data()[i0..i1], c, l, &mut panel_c);
+            let dk = &mut grad_k.data_mut()[i0..i1];
+            gemm_packed(&panel_c, &dscores, dk, c, l, l, Epilogue::Zero);
         }
 
-        let gn_q = self.q.backward(&grad_q);
-        let gn_k = self.k.backward(&grad_k);
-        let gn_v = self.v.backward(&grad_v);
-        let grad_normed = gn_q.add(&gn_k).add(&gn_v);
-        let grad_x_through_norm = self.norm.backward(&grad_normed);
-        grad_out.add(&grad_x_through_norm)
+        let mut grad_normed = self.q.backward(&grad_q);
+        grad_normed.add_assign(&self.k.backward(&grad_k));
+        grad_normed.add_assign(&self.v.backward(&grad_v));
+        let mut grad_x = self.norm.backward(&grad_normed);
+        grad_x.add_assign(grad_out);
+        grad_x
     }
 
     /// Mutable access to all parameters, in a stable order.
@@ -240,26 +259,104 @@ fn shape4(t: &Tensor) -> (usize, usize, usize, usize) {
     (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3])
 }
 
-/// Extracts batch item `ni` as a `(c, L)` matrix. In NCHW layout the
-/// item's channel block already is that matrix, so this is one contiguous
-/// copy.
-fn slice_to_mat(x: &Tensor, ni: usize, c: usize, l: usize) -> Tensor {
-    let mut data = vec![0.0f32; c * l];
-    data.copy_from_slice(&x.data()[ni * c * l..(ni + 1) * c * l]);
-    Tensor::from_vec(&[c, l], data)
-}
-
-/// Writes a `(c, L)` matrix into batch item `ni` of an NCHW tensor
-/// (contiguous copy, see [`slice_to_mat`]).
-fn write_mat(dst: &mut Tensor, mat: &Tensor, ni: usize, c: usize, l: usize, _w: usize) {
-    dst.data_mut()[ni * c * l..(ni + 1) * c * l].copy_from_slice(mat.data());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::{assert_close, finite_diff};
     use rand::SeedableRng;
+
+    /// The attention this block used to run — per-item `(c, L)` copies,
+    /// allocating `matmul`/`transpose` products and softmax backward —
+    /// kept as the bit-exact reference. Returns `(forward output, grad
+    /// wrt input)`; the sublayers run their own forward/backward.
+    fn reference_forward_backward(
+        attn: &mut SelfAttention2d,
+        x: &Tensor,
+        grad_out: &Tensor,
+    ) -> (Tensor, Tensor) {
+        use crate::activation::softmax_rows;
+        use crate::gemm::{matmul, transpose};
+        let (n, c, h, w) = shape4(x);
+        let l = h * w;
+        let scale = 1.0 / (c as f32).sqrt();
+        let mat = |t: &Tensor, ni: usize| {
+            Tensor::from_vec(&[c, l], t.data()[ni * c * l..(ni + 1) * c * l].to_vec())
+        };
+
+        let normed = attn.norm.forward(x);
+        let qs = attn.q.forward(&normed);
+        let ks = attn.k.forward(&normed);
+        let vs = attn.v.forward(&normed);
+        let mut attended = Tensor::zeros(&[n, c, h, w]);
+        let mut per_item = Vec::new();
+        for ni in 0..n {
+            let (qm, km, vm) = (mat(&qs, ni), mat(&ks, ni), mat(&vs, ni));
+            let a = softmax_rows(&matmul(&transpose(&qm), &km).scale(scale));
+            let out = matmul(&vm, &transpose(&a));
+            attended.data_mut()[ni * c * l..(ni + 1) * c * l].copy_from_slice(out.data());
+            per_item.push((qm, km, vm, a));
+        }
+        let y = x.add(&attn.proj.forward(&attended));
+
+        let grad_attended = attn.proj.backward(grad_out);
+        let mut grads = [
+            Tensor::zeros(&[n, c, h, w]),
+            Tensor::zeros(&[n, c, h, w]),
+            Tensor::zeros(&[n, c, h, w]),
+        ];
+        for (ni, (qm, km, vm, a)) in per_item.iter().enumerate() {
+            let go = mat(&grad_attended, ni);
+            let dv = matmul(&go, a);
+            let dattn = matmul(&transpose(&go), vm);
+            let mut ds = vec![0.0f32; l * l];
+            for r in 0..l {
+                let yr = &a.data()[r * l..(r + 1) * l];
+                let gr = &dattn.data()[r * l..(r + 1) * l];
+                let dot: f32 = yr.iter().zip(gr).map(|(p, q)| p * q).sum();
+                for ((o, &yv), &gv) in ds[r * l..(r + 1) * l].iter_mut().zip(yr).zip(gr) {
+                    *o = yv * (gv - dot);
+                }
+            }
+            let dscores = Tensor::from_vec(&[l, l], ds).scale(scale);
+            let dq = matmul(km, &transpose(&dscores));
+            let dk = matmul(qm, &dscores);
+            for (g, d) in grads.iter_mut().zip([dq, dk, dv]) {
+                g.data_mut()[ni * c * l..(ni + 1) * c * l].copy_from_slice(d.data());
+            }
+        }
+        let [grad_q, grad_k, grad_v] = grads;
+        let gn_q = attn.q.backward(&grad_q);
+        let gn_k = attn.k.backward(&grad_k);
+        let gn_v = attn.v.backward(&grad_v);
+        let grad_normed = gn_q.add(&gn_k).add(&gn_v);
+        (y, grad_out.add(&attn.norm.backward(&grad_normed)))
+    }
+
+    #[test]
+    fn forward_and_backward_are_bit_identical_to_matmul_reference() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        for batch in [1usize, 3] {
+            // L = 15: every GEMM runs a ragged MR and NR tail.
+            let mut live = SelfAttention2d::new(8, 2, &mut rng);
+            let mut reference = live.clone();
+            // Two rounds, so the second accumulates onto non-zero
+            // gradients.
+            for round in 0..2 {
+                let x = Tensor::randn(&[batch, 8, 5, 3], 1.0, &mut rng);
+                let go = Tensor::randn(x.shape(), 1.0, &mut rng);
+                let y = live.forward(&x);
+                let gx = live.backward(&go);
+                let (y_ref, gx_ref) = reference_forward_backward(&mut reference, &x, &go);
+                let case = format!("n {batch} round {round}");
+                assert_eq!(bits(&y), bits(&y_ref), "{case}: y");
+                assert_eq!(bits(&gx), bits(&gx_ref), "{case}: dx");
+                for (i, (p, r)) in live.params().iter().zip(reference.params()).enumerate() {
+                    assert_eq!(bits(&p.grad), bits(&r.grad), "{case}: param {i}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn forward_preserves_shape() {

@@ -1,5 +1,6 @@
 use crate::gemm::{
-    gemm_packed, matmul, pack_a_into, packed_len, transpose, Epilogue, GroupNormSilu,
+    gemm_packed, pack_a_into, pack_a_transposed_into, packed_len, transpose_into, Epilogue,
+    GroupNormSilu, MR,
 };
 use crate::{GroupNorm, Param, Tensor, Workspace};
 use rand::Rng;
@@ -263,53 +264,111 @@ impl Conv2d {
     /// Backward pass: accumulates weight/bias gradients, returns grad wrt
     /// input.
     ///
+    /// Per batch item it runs two packed GEMMs on per-call scratch: the
+    /// transposed weight gradient `dWᵀ (ic·k·k, oc) += cols · goᵀ`, whose
+    /// im2col rows are packed as GEMM panels (so only the small `go` is
+    /// transposed, never the `cols` matrix), and the column gradient
+    /// `Wᵀ · go`, with `Wᵀ` packed once per call, which `col2im_accumulate`
+    /// scatters back.
+    /// Every gradient element sees the same products in the same order as
+    /// the textbook `matmul`/`transpose` formulation, so results are
+    /// bit-identical to it (pinned by this module's tests).
+    ///
     /// # Panics
     ///
     /// Panics when called before `forward` or on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cache_input
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
-        let (n, ic, h, w) = shape4(&x);
+        let x = self.cache_input.as_ref().expect("backward before forward");
+        let (n, ic, h, w) = shape4(x);
         let (oh, ow) = (self.out_size(h), self.out_size(w));
-        let oc = self.out_channels();
-        let k = self.kernel();
+        let (oc, k, s, p) = (
+            self.out_channels(),
+            self.kernel(),
+            self.stride,
+            self.padding,
+        );
         assert_eq!(
             grad_out.shape(),
             &[n, oc, oh, ow],
             "grad_out shape mismatch"
         );
+        let (l, ckk, hw) = (oh * ow, ic * k * k, h * w);
+        let pointwise = k == 1 && s == 1 && p == 0;
 
-        let w_mat = self.weight.value.clone().reshape(&[oc, ic * k * k]);
-        let w_mat_t = transpose(&w_mat);
-
+        // The (oc, ic, kh, kw) kernel is the (oc, ckk) matrix W.
+        let mut panel_wt = vec![0.0f32; packed_len(ckk, oc)];
+        pack_a_transposed_into(self.weight.value.data(), ckk, oc, &mut panel_wt);
+        let mut panel_cols = vec![0.0f32; packed_len(ckk, l)];
+        // im2col runs MR input channels at a time: MR * k * k rows is a
+        // whole number of MR-row panels, so each chunk packs in place.
+        let chunk_rows = MR * k * k;
+        let mut cols = vec![0.0f32; if pointwise { 0 } else { chunk_rows * l }];
+        let mut gcols = vec![0.0f32; if pointwise { 0 } else { ckk * l }];
+        let mut go_t = vec![0.0f32; l * oc];
+        let mut grad_wt = vec![0.0f32; ckk * oc];
         let mut grad_input = Tensor::zeros(&[n, ic, h, w]);
-        let mut grad_w_mat = Tensor::zeros(&[oc, ic * k * k]);
-        let l = oh * ow;
-        let mut go = Tensor::zeros(&[oc, l]);
         for ni in 0..n {
-            // The (oc, oh, ow) slice of this batch item is already the
-            // (oc, L) matrix — one contiguous copy, no per-element
-            // division/modulo indexing.
-            go.data_mut()
-                .copy_from_slice(&grad_out.data()[ni * oc * l..(ni + 1) * oc * l]);
-            // Bias gradient: row sums.
-            for c in 0..oc {
-                let s: f32 = go.data()[c * l..(c + 1) * l].iter().sum();
-                self.bias.grad.data_mut()[c] += s;
+            // The (oc, oh, ow) slice of this batch item is the (oc, L)
+            // matrix go.
+            let go = &grad_out.data()[ni * oc * l..(ni + 1) * oc * l];
+            // Bias gradient: row sums of go.
+            for (gb, row) in self.bias.grad.data_mut().iter_mut().zip(go.chunks(l)) {
+                let sum: f32 = row.iter().sum();
+                *gb += sum;
             }
-            // Weight gradient: go (oc, L) x cols^T (L, ick2).
-            let cols = self.im2col(&x, ni, oh, ow);
-            grad_w_mat.add_assign(&matmul(&go, &transpose(&cols)));
-            // Input gradient: w^T (ick2, oc) x go (oc, L) -> col grads.
-            let gcols = matmul(&w_mat_t, &go);
-            self.col2im_accumulate(&gcols, &mut grad_input, ni, oh, ow);
+            let item = &x.data()[ni * ic * hw..(ni + 1) * ic * hw];
+            if pointwise {
+                // A 1x1 projection's im2col matrix is the item itself.
+                pack_a_into(item, ckk, l, &mut panel_cols);
+            } else {
+                for c0 in (0..ic).step_by(MR) {
+                    let cc = MR.min(ic - c0);
+                    let rows = cc * k * k;
+                    im2col_into(
+                        &item[c0 * hw..(c0 + cc) * hw],
+                        cc,
+                        h,
+                        w,
+                        k,
+                        s,
+                        p,
+                        oh,
+                        ow,
+                        &mut cols[..rows * l],
+                    );
+                    let dst = c0 * k * k * l;
+                    pack_a_into(
+                        &cols[..rows * l],
+                        rows,
+                        l,
+                        &mut panel_cols[dst..dst + packed_len(rows, l)],
+                    );
+                }
+            }
+            transpose_into(go, oc, l, &mut go_t);
+            gemm_packed(
+                &panel_cols,
+                &go_t,
+                &mut grad_wt,
+                ckk,
+                l,
+                oc,
+                Epilogue::Accumulate,
+            );
+            let grad_item = &mut grad_input.data_mut()[ni * ic * hw..(ni + 1) * ic * hw];
+            if pointwise {
+                gemm_packed(&panel_wt, go, grad_item, ckk, oc, l, Epilogue::Zero);
+            } else {
+                gemm_packed(&panel_wt, go, &mut gcols, ckk, oc, l, Epilogue::Zero);
+                col2im_accumulate(&gcols, grad_item, ic, h, w, k, s, p, oh, ow);
+            }
         }
-        self.weight
-            .grad
-            .add_assign(&grad_w_mat.reshape(&[oc, ic, k, k]));
+        // weight.grad += (dWᵀ)ᵀ, once per call.
+        for (i, row) in self.weight.grad.data_mut().chunks_mut(ckk).enumerate() {
+            for (j, g) in row.iter_mut().enumerate() {
+                *g += grad_wt[j * oc + i];
+            }
+        }
         grad_input
     }
 
@@ -322,67 +381,6 @@ impl Conv2d {
     /// [`Conv2d::params_mut`].
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
-    }
-
-    /// Builds the im2col matrix `(ic*k*k, oh*ow)` for batch item `ni`
-    /// (allocating variant used by the training backward pass).
-    fn im2col(&self, x: &Tensor, ni: usize, oh: usize, ow: usize) -> Tensor {
-        let (_n, ic, h, w) = shape4(x);
-        let k = self.kernel();
-        let l = oh * ow;
-        let mut cols = vec![0.0f32; ic * k * k * l];
-        let item = &x.data()[ni * ic * h * w..(ni + 1) * ic * h * w];
-        im2col_into(
-            item,
-            ic,
-            h,
-            w,
-            k,
-            self.stride,
-            self.padding,
-            oh,
-            ow,
-            &mut cols,
-        );
-        Tensor::from_vec(&[ic * k * k, l], cols)
-    }
-
-    /// Scatters column gradients back onto the padded input grid.
-    fn col2im_accumulate(
-        &self,
-        gcols: &Tensor,
-        grad_input: &mut Tensor,
-        ni: usize,
-        oh: usize,
-        ow: usize,
-    ) {
-        let (_n, ic, h, w) = shape4(grad_input);
-        let k = self.kernel();
-        let (s, p) = (self.stride, self.padding);
-        let l = oh * ow;
-        for c in 0..ic {
-            for ki in 0..k {
-                for kj in 0..k {
-                    let row = (c * k + ki) * k + kj;
-                    for oy in 0..oh {
-                        let iy = oy * s + ki;
-                        if iy < p || iy >= h + p {
-                            continue;
-                        }
-                        let iy = iy - p;
-                        let grow = &gcols.data()[row * l + oy * ow..row * l + (oy + 1) * ow];
-                        let drow_base = ((ni * ic + c) * h + iy) * w;
-                        for (ox, &g) in grow.iter().enumerate() {
-                            let ix = ox * s + kj;
-                            if ix < p || ix >= w + p {
-                                continue;
-                            }
-                            grad_input.data_mut()[drow_base + (ix - p)] += g;
-                        }
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -488,6 +486,59 @@ fn im2col_into(
                             .zip(src_row[sx0..].iter().step_by(s))
                         {
                             *d = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Scatters the column gradients `gcols` (`(ic*k*k, oh*ow)`, the layout
+/// [`im2col_into`] writes) back onto one `(ic, h, w)` input-gradient item,
+/// adding into it. The same clamped spans as `im2col_into` skip the padding,
+/// so each `(c, ki, kj, oy)` row is one contiguous (stride 1) or strided
+/// add with no per-element test. Every element receives its adds in
+/// `(c, ki, kj, oy, ox)` order.
+#[allow(clippy::too_many_arguments)]
+fn col2im_accumulate(
+    gcols: &[f32],
+    grad_item: &mut [f32],
+    ic: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    padding: usize,
+    oh: usize,
+    ow: usize,
+) {
+    let l = oh * ow;
+    debug_assert_eq!(gcols.len(), ic * k * k * l);
+    let (s, p) = (stride, padding);
+    for c in 0..ic {
+        for ki in 0..k {
+            let oy0 = valid_start(ki, p, s);
+            let oy1 = valid_end(ki, p, s, h, oh).max(oy0);
+            for kj in 0..k {
+                let ox0 = valid_start(kj, p, s);
+                let ox1 = valid_end(kj, p, s, w, ow).max(ox0);
+                if ox0 == ox1 {
+                    continue;
+                }
+                let base = ((c * k + ki) * k + kj) * l;
+                let ix0 = ox0 * s + kj - p;
+                for oy in oy0..oy1 {
+                    let iy = oy * s + ki - p;
+                    let src = &gcols[base + oy * ow + ox0..base + oy * ow + ox1];
+                    let dst = &mut grad_item[(c * h + iy) * w + ix0..(c * h + iy + 1) * w];
+                    if s == 1 {
+                        for (d, &g) in dst.iter_mut().zip(src) {
+                            *d += g;
+                        }
+                    } else {
+                        for (d, &g) in dst.iter_mut().step_by(s).zip(src) {
+                            *d += g;
                         }
                     }
                 }
@@ -658,6 +709,106 @@ mod tests {
         let live = conv.forward(&x);
         assert!(!conv.is_prepacked(), "forward must drop the stale pack");
         assert_eq!(live, reference.forward(&x));
+    }
+
+    /// The allocating `matmul`/`transpose` backward this layer used to
+    /// run, kept as the bit-exact reference: per item `dW += go · colsᵀ`
+    /// and `gcols = Wᵀ · go`, then a per-element col2im with a padding test.
+    fn reference_backward(conv: &mut Conv2d, grad_out: &Tensor) -> Tensor {
+        use crate::gemm::{matmul, transpose};
+        let x = conv.cache_input.clone().expect("forward first");
+        let (n, ic, h, w) = shape4(&x);
+        let (oh, ow) = (conv.out_size(h), conv.out_size(w));
+        let (oc, k) = (conv.out_channels(), conv.kernel());
+        let (stride, p) = (conv.stride, conv.padding);
+        let l = oh * ow;
+        let w_mat_t = transpose(&conv.weight.value.clone().reshape(&[oc, ic * k * k]));
+        let mut grad_input = Tensor::zeros(&[n, ic, h, w]);
+        let mut grad_w_mat = Tensor::zeros(&[oc, ic * k * k]);
+        for ni in 0..n {
+            let go = Tensor::from_vec(
+                &[oc, l],
+                grad_out.data()[ni * oc * l..(ni + 1) * oc * l].to_vec(),
+            );
+            for c in 0..oc {
+                let s: f32 = go.data()[c * l..(c + 1) * l].iter().sum();
+                conv.bias.grad.data_mut()[c] += s;
+            }
+            let mut cols = vec![0.0f32; ic * k * k * l];
+            let item = &x.data()[ni * ic * h * w..(ni + 1) * ic * h * w];
+            im2col_into(item, ic, h, w, k, stride, p, oh, ow, &mut cols);
+            let cols = Tensor::from_vec(&[ic * k * k, l], cols);
+            grad_w_mat.add_assign(&matmul(&go, &transpose(&cols)));
+            let gcols = matmul(&w_mat_t, &go);
+            for c in 0..ic {
+                for ki in 0..k {
+                    for kj in 0..k {
+                        let row = (c * k + ki) * k + kj;
+                        for oy in 0..oh {
+                            let iy = oy * stride + ki;
+                            if iy < p || iy >= h + p {
+                                continue;
+                            }
+                            for ox in 0..ow {
+                                let ix = ox * stride + kj;
+                                if ix < p || ix >= w + p {
+                                    continue;
+                                }
+                                grad_input.data_mut()[((ni * ic + c) * h + iy - p) * w + ix - p] +=
+                                    gcols.data()[row * l + oy * ow + ox];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        conv.weight
+            .grad
+            .add_assign(&grad_w_mat.reshape(&[oc, ic, k, k]));
+        grad_input
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn backward_is_bit_identical_to_matmul_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        for k in [1usize, 3] {
+            for stride in [1usize, 2] {
+                for padding in [0usize, 1] {
+                    for batch in [1usize, 3] {
+                        // 5 input channels: one full MR-channel im2col
+                        // chunk plus a ragged tail.
+                        let mut live = Conv2d::new(5, 6, k, stride, padding, &mut rng);
+                        let mut reference = live.clone();
+                        let case = format!("k {k} s {stride} p {padding} n {batch}");
+                        // Two rounds, so the second accumulates onto
+                        // non-zero gradients.
+                        for round in 0..2 {
+                            let x = Tensor::randn(&[batch, 5, 7, 6], 1.0, &mut rng);
+                            let y = live.forward(&x);
+                            assert_eq!(y, reference.forward(&x), "{case}");
+                            let go = Tensor::randn(y.shape(), 1.0, &mut rng);
+                            let gx = live.backward(&go);
+                            let gx_ref = reference_backward(&mut reference, &go);
+                            assert_eq!(bits(&gx), bits(&gx_ref), "{case} round {round}: dx");
+                            assert_eq!(
+                                bits(&live.weight.grad),
+                                bits(&reference.weight.grad),
+                                "{case} round {round}: dW"
+                            );
+                            assert_eq!(
+                                bits(&live.bias.grad),
+                                bits(&reference.bias.grad),
+                                "{case} round {round}: db"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //!
 //! # Threading policy
 //!
-//! Large multiplies split their row range across `std::thread::scope`
-//! threads. The thread budget is `min(available_parallelism,
-//! DP_MAX_THREADS)` (the env var is read once per process), and inner
-//! parallelism can be disabled for a region with
-//! [`with_inner_gemm_parallelism`] — every `PatternService` worker does
-//! this, so data-parallel GEMM threads are never nested inside the
-//! already-parallel worker pool (thread oversubscription). Row
-//! partitioning never changes per-element accumulation order, so results
-//! are bit-identical at every thread count.
+//! Large multiplies *may* split their row range across
+//! `std::thread::scope` threads, with a budget of
+//! `min(available_parallelism, DP_MAX_THREADS)` (the env var is read once
+//! per process). Both heavy callers turn this off with
+//! [`with_inner_gemm_parallelism`]`(false, ..)`: every `PatternService`
+//! worker (so GEMM threads never nest inside the worker pool) and
+//! `Trainer::train` (a serial training step measured faster than a
+//! threaded one on the 2-vCPU hosts this tree is timed on). Inner threads
+//! therefore engage only for direct [`matmul`] / `UNet::infer` calls made
+//! outside both. Row partitioning never changes per-element accumulation
+//! order, so results are bit-identical at every thread count.
 
 use crate::activation::silu_val;
 use crate::norm::group_stats;
@@ -108,10 +110,11 @@ thread_local! {
 /// current thread**, restoring the previous setting afterwards (also on
 /// panic).
 ///
-/// Batch engines that already parallelise across work items (one sampler
-/// per worker thread) wrap their worker loops in
+/// `PatternService` workers wrap their worker loops in
 /// `with_inner_gemm_parallelism(false, ..)` so a large multiply inside a
-/// worker never spawns a second layer of threads.
+/// worker never spawns a second layer of threads, and `Trainer::train`
+/// wraps its step loop the same way because a serial step is faster. The
+/// result bytes are the same either way.
 pub fn with_inner_gemm_parallelism<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
     struct Restore(bool);
     impl Drop for Restore {
@@ -124,7 +127,10 @@ pub fn with_inner_gemm_parallelism<R>(enabled: bool, f: impl FnOnce() -> R) -> R
     f()
 }
 
-fn inner_parallelism_enabled() -> bool {
+/// Whether a large multiply issued from the current thread may split
+/// across inner GEMM threads: `false` inside a
+/// [`with_inner_gemm_parallelism`]`(false, ..)` region, `true` otherwise.
+pub fn inner_gemm_parallelism_enabled() -> bool {
     !INNER_PARALLELISM_DISABLED.with(|c| c.get())
 }
 
@@ -142,6 +148,12 @@ fn inner_parallelism_enabled() -> bool {
 pub(crate) enum Epilogue<'a> {
     /// Plain product: output starts at zero.
     Zero,
+    /// The product is added into `out` as it stands (no initialisation):
+    /// `out[i][j] += sum`. Adding into a buffer that started at `+0.0` is
+    /// bit-identical to a [`Epilogue::Zero`] product followed by an
+    /// element-wise add, because `0.0 + sum` only differs from `sum` at
+    /// `-0.0`, and an accumulator that starts at `+0.0` never becomes `-0.0`.
+    Accumulate,
     /// `out[i][j]` starts at `bias[i]` (convolution: one bias per output
     /// channel row).
     BiasPerRow(&'a [f32]),
@@ -189,7 +201,10 @@ pub(crate) struct GroupNormSilu<'a> {
 /// exact accumulation order of the standalone layers it replaces.
 fn apply_epilogue_finish(epilogue: &Epilogue<'_>, out: &mut [f32], m: usize, n: usize) {
     match epilogue {
-        Epilogue::Zero | Epilogue::BiasPerRow(_) | Epilogue::BiasPerCol(_) => {}
+        Epilogue::Zero
+        | Epilogue::Accumulate
+        | Epilogue::BiasPerRow(_)
+        | Epilogue::BiasPerCol(_) => {}
         Epilogue::BiasSiluPerCol(_) => {
             for v in out.iter_mut() {
                 *v = silu_val(*v);
@@ -250,6 +265,24 @@ pub(crate) fn pack_a_into(a: &[f32], m: usize, k: usize, dst: &mut [f32]) {
     }
 }
 
+/// Packs the `(m, k)` matrix `A` into the same panels as [`pack_a_into`],
+/// reading it from its row-major transpose `at` (`k x m`), so no
+/// transposed copy is materialised: each `k` step of a panel is `MR`
+/// contiguous elements of one row of `at`.
+pub(crate) fn pack_a_transposed_into(at: &[f32], m: usize, k: usize, dst: &mut [f32]) {
+    assert_eq!(dst.len(), packed_len(m, k), "packed destination length");
+    assert_eq!(at.len(), m * k, "matrix data length");
+    for bi in 0..m.div_ceil(MR) {
+        let i0 = bi * MR;
+        let rows = MR.min(m - i0);
+        let panel = &mut dst[bi * MR * k..(bi + 1) * MR * k];
+        for (kk, step) in panel.chunks_exact_mut(MR).enumerate() {
+            step[..rows].copy_from_slice(&at[kk * m + i0..kk * m + i0 + rows]);
+            step[rows..].fill(0.0);
+        }
+    }
+}
+
 /// Computes `out (m x n) = unpack(packed_a) (m x k) * b (k x n)` plus the
 /// fused [`Epilogue`], splitting row panels across threads when the work
 /// is large enough and inner parallelism is allowed.
@@ -267,6 +300,7 @@ pub(crate) fn gemm_packed(
     assert_eq!(out.len(), m * n, "output length");
     match epilogue {
         Epilogue::Zero => out.fill(0.0),
+        Epilogue::Accumulate => {}
         Epilogue::BiasPerRow(bias) => {
             assert_eq!(bias.len(), m, "per-row bias length");
             for (row, &bv) in out.chunks_mut(n).zip(bias) {
@@ -297,7 +331,7 @@ pub(crate) fn gemm_packed(
     }
 
     let blocks = m.div_ceil(MR);
-    let threads = if m * k * n >= PARALLEL_THRESHOLD && inner_parallelism_enabled() {
+    let threads = if m * k * n >= PARALLEL_THRESHOLD && inner_gemm_parallelism_enabled() {
         max_threads().min(blocks).max(1)
     } else {
         1
@@ -656,6 +690,47 @@ mod tests {
     }
 
     #[test]
+    fn accumulate_epilogue_matches_zero_then_add_bit_exactly() {
+        // Several products added into one buffer that starts at +0.0 — the
+        // weight-gradient pattern of `Conv2d::backward` — against the
+        // allocating `acc.add_assign(&matmul(..))` form. Signed zeros in
+        // the inputs make some products exactly -0.0.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for (m, k, n) in [(3, 5, 7), (8, 9, 16), (13, 4, 33)] {
+            let mut acc = Tensor::zeros(&[m, n]);
+            let mut out = vec![0.0f32; m * n];
+            let mut panel = vec![0.0f32; packed_len(m, k)];
+            for round in 0..4 {
+                let mut a = Tensor::randn(&[m, k], 1.0, &mut rng);
+                let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+                if round == 1 {
+                    for (i, v) in a.data_mut().iter_mut().enumerate() {
+                        *v = if i % 2 == 0 { -0.0 } else { 0.0 };
+                    }
+                }
+                acc.add_assign(&matmul(&a, &b));
+                pack_a_into(a.data(), m, k, &mut panel);
+                gemm_packed(&panel, b.data(), &mut out, m, k, n, Epilogue::Accumulate);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&out), bits(acc.data()), "({m},{k},{n}) round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_packing_matches_transpose_then_pack() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        for (m, k) in [(1, 1), (4, 3), (7, 5), (36, 64)] {
+            let at = Tensor::randn(&[k, m], 1.0, &mut rng);
+            let mut direct = vec![f32::NAN; packed_len(m, k)];
+            pack_a_transposed_into(at.data(), m, k, &mut direct);
+            let mut reference = vec![0.0f32; packed_len(m, k)];
+            pack_a_into(transpose(&at).data(), m, k, &mut reference);
+            assert_eq!(direct, reference, "({m},{k})");
+        }
+    }
+
+    #[test]
     fn parallel_path_matches_serial_bit_exactly() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         // Big enough to trip the parallel threshold on multi-core hosts.
@@ -692,13 +767,13 @@ mod tests {
 
     #[test]
     fn inner_parallelism_scope_restores() {
-        assert!(inner_parallelism_enabled());
+        assert!(inner_gemm_parallelism_enabled());
         with_inner_gemm_parallelism(false, || {
-            assert!(!inner_parallelism_enabled());
-            with_inner_gemm_parallelism(true, || assert!(inner_parallelism_enabled()));
-            assert!(!inner_parallelism_enabled());
+            assert!(!inner_gemm_parallelism_enabled());
+            with_inner_gemm_parallelism(true, || assert!(inner_gemm_parallelism_enabled()));
+            assert!(!inner_gemm_parallelism_enabled());
         });
-        assert!(inner_parallelism_enabled());
+        assert!(inner_gemm_parallelism_enabled());
     }
 
     #[test]

@@ -87,7 +87,8 @@ pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use embedding::{sinusoidal_embedding, sinusoidal_embedding_ws};
 pub use gemm::{
-    gemm_thread_cap, matmul, set_gemm_thread_cap, transpose, with_inner_gemm_parallelism,
+    gemm_thread_cap, inner_gemm_parallelism_enabled, matmul, set_gemm_thread_cap, transpose,
+    with_inner_gemm_parallelism,
 };
 pub use linear::Linear;
 pub use norm::GroupNorm;

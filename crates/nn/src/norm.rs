@@ -19,7 +19,6 @@ pub struct GroupNorm {
 
 #[derive(Debug, Clone)]
 struct Cache {
-    input: Tensor,
     normalized: Tensor,
     inv_std: Vec<f32>, // per (n, group)
 }
@@ -62,7 +61,6 @@ impl GroupNorm {
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let (out, normalized, inv_std) = self.compute(x);
         self.cache = Some(Cache {
-            input: x.clone(),
             normalized,
             inv_std,
         });
@@ -190,23 +188,27 @@ impl GroupNorm {
     /// Panics when called before `forward` or on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("backward before forward");
-        let x = &cache.input;
-        assert_eq!(grad_out.shape(), x.shape(), "grad_out shape mismatch");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        let xhat = cache.normalized.data();
+        assert_eq!(
+            grad_out.shape(),
+            cache.normalized.shape(),
+            "grad_out shape mismatch"
+        );
+        let (n, c) = (grad_out.shape()[0], grad_out.shape()[1]);
+        let hw = grad_out.len() / (n * c);
         let cg = c / self.groups;
-        let group_len = (cg * h * w) as f32;
+        let group_len = (cg * hw) as f32;
+        let go = grad_out.data();
 
-        // Per-channel affine gradients.
+        // Per-channel affine gradients, summed over (n, h, w).
         for ci in 0..c {
             let mut dg = 0.0f32;
             let mut db = 0.0f32;
             for ni in 0..n {
-                for hi in 0..h {
-                    for wi in 0..w {
-                        let g = grad_out.at4(ni, ci, hi, wi);
-                        dg += g * cache.normalized.at4(ni, ci, hi, wi);
-                        db += g;
-                    }
+                let (p0, p1) = ((ni * c + ci) * hw, (ni * c + ci + 1) * hw);
+                for (&g, &xh) in go[p0..p1].iter().zip(&xhat[p0..p1]) {
+                    dg += g * xh;
+                    db += g;
                 }
             }
             self.gamma.grad.data_mut()[ci] += dg;
@@ -216,32 +218,34 @@ impl GroupNorm {
         // Input gradient per (n, group):
         // dxhat = grad_out * gamma
         // dx = inv_std/Ng * (Ng*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
-        let mut grad_in = Tensor::zeros(x.shape());
+        let gamma = self.gamma.value.data();
+        let mut grad_in = Tensor::zeros(grad_out.shape());
         for ni in 0..n {
             for g in 0..self.groups {
                 let inv_std = cache.inv_std[ni * self.groups + g];
+                let (s0, s1) = ((ni * c + g * cg) * hw, (ni * c + (g + 1) * cg) * hw);
+                let (gos, xhs) = (&go[s0..s1], &xhat[s0..s1]);
+                let gammas = &gamma[g * cg..(g + 1) * cg];
                 let mut sum_dxhat = 0.0f32;
                 let mut sum_dxhat_xhat = 0.0f32;
-                for ci in g * cg..(g + 1) * cg {
-                    let gamma = self.gamma.value.data()[ci];
-                    for hi in 0..h {
-                        for wi in 0..w {
-                            let dxhat = grad_out.at4(ni, ci, hi, wi) * gamma;
-                            sum_dxhat += dxhat;
-                            sum_dxhat_xhat += dxhat * cache.normalized.at4(ni, ci, hi, wi);
-                        }
+                for ((gor, xhr), &gm) in gos.chunks(hw).zip(xhs.chunks(hw)).zip(gammas) {
+                    for (&gv, &xh) in gor.iter().zip(xhr) {
+                        let dxhat = gv * gm;
+                        sum_dxhat += dxhat;
+                        sum_dxhat_xhat += dxhat * xh;
                     }
                 }
-                for ci in g * cg..(g + 1) * cg {
-                    let gamma = self.gamma.value.data()[ci];
-                    for hi in 0..h {
-                        for wi in 0..w {
-                            let dxhat = grad_out.at4(ni, ci, hi, wi) * gamma;
-                            let xhat = cache.normalized.at4(ni, ci, hi, wi);
-                            let dx = inv_std / group_len
-                                * (group_len * dxhat - sum_dxhat - xhat * sum_dxhat_xhat);
-                            grad_in.set4(ni, ci, hi, wi, dx);
-                        }
+                let scale = inv_std / group_len;
+                let dst = &mut grad_in.data_mut()[s0..s1];
+                for (((dr, gor), xhr), &gm) in dst
+                    .chunks_mut(hw)
+                    .zip(gos.chunks(hw))
+                    .zip(xhs.chunks(hw))
+                    .zip(gammas)
+                {
+                    for ((d, &gv), &xh) in dr.iter_mut().zip(gor).zip(xhr) {
+                        let dxhat = gv * gm;
+                        *d = scale * (group_len * dxhat - sum_dxhat - xh * sum_dxhat_xhat);
                     }
                 }
             }
@@ -346,6 +350,94 @@ mod tests {
                     vals.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / vals.len() as f32;
                 assert!(mean.abs() < 1e-4, "mean {mean}");
                 assert!((var - 1.0).abs() < 1e-2, "var {var}");
+            }
+        }
+    }
+
+    /// The `at4`-indexed backward this layer used to run, kept as the
+    /// bit-exact reference.
+    fn reference_backward(norm: &mut GroupNorm, grad_out: &Tensor) -> Tensor {
+        let cache = norm.cache.as_ref().expect("forward first");
+        let shape = cache.normalized.shape();
+        let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
+        let cg = c / norm.groups;
+        let group_len = (cg * h * w) as f32;
+        for ci in 0..c {
+            let mut dg = 0.0f32;
+            let mut db = 0.0f32;
+            for ni in 0..n {
+                for hi in 0..h {
+                    for wi in 0..w {
+                        let g = grad_out.at4(ni, ci, hi, wi);
+                        dg += g * cache.normalized.at4(ni, ci, hi, wi);
+                        db += g;
+                    }
+                }
+            }
+            norm.gamma.grad.data_mut()[ci] += dg;
+            norm.beta.grad.data_mut()[ci] += db;
+        }
+        let mut grad_in = Tensor::zeros(shape);
+        for ni in 0..n {
+            for g in 0..norm.groups {
+                let inv_std = cache.inv_std[ni * norm.groups + g];
+                let mut sum_dxhat = 0.0f32;
+                let mut sum_dxhat_xhat = 0.0f32;
+                for ci in g * cg..(g + 1) * cg {
+                    let gamma = norm.gamma.value.data()[ci];
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            let dxhat = grad_out.at4(ni, ci, hi, wi) * gamma;
+                            sum_dxhat += dxhat;
+                            sum_dxhat_xhat += dxhat * cache.normalized.at4(ni, ci, hi, wi);
+                        }
+                    }
+                }
+                for ci in g * cg..(g + 1) * cg {
+                    let gamma = norm.gamma.value.data()[ci];
+                    for hi in 0..h {
+                        for wi in 0..w {
+                            let dxhat = grad_out.at4(ni, ci, hi, wi) * gamma;
+                            let xhat = cache.normalized.at4(ni, ci, hi, wi);
+                            let dx = inv_std / group_len
+                                * (group_len * dxhat - sum_dxhat - xhat * sum_dxhat_xhat);
+                            grad_in.set4(ni, ci, hi, wi, dx);
+                        }
+                    }
+                }
+            }
+        }
+        grad_in
+    }
+
+    #[test]
+    fn backward_is_bit_identical_to_at4_reference() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for (groups, batch) in [(1usize, 1usize), (2, 3), (3, 2)] {
+            let mut live = GroupNorm::new(groups, 6);
+            live.gamma.value = Tensor::randn(&[6], 1.0, &mut rng);
+            let mut reference = live.clone();
+            // Two rounds, so the second accumulates onto non-zero
+            // gradients.
+            for round in 0..2 {
+                let x = Tensor::randn(&[batch, 6, 5, 3], 2.0, &mut rng);
+                assert_eq!(live.forward(&x), reference.forward(&x));
+                let go = Tensor::randn(x.shape(), 1.0, &mut rng);
+                let gx = live.backward(&go);
+                let gx_ref = reference_backward(&mut reference, &go);
+                let case = format!("groups {groups} n {batch} round {round}");
+                assert_eq!(bits(&gx), bits(&gx_ref), "{case}: dx");
+                assert_eq!(
+                    bits(&live.gamma.grad),
+                    bits(&reference.gamma.grad),
+                    "{case}: dgamma"
+                );
+                assert_eq!(
+                    bits(&live.beta.grad),
+                    bits(&reference.beta.grad),
+                    "{case}: dbeta"
+                );
             }
         }
     }

@@ -170,16 +170,16 @@ impl ResBlock {
         // Time branch: grad is the HW-sum per (n, c).
         let (n, c) = (grad_mid.shape()[0], grad_mid.shape()[1]);
         let mut grad_t = Tensor::zeros(&[n, c]);
-        for ni in 0..n {
-            for ci in 0..c {
-                let mut s = 0.0;
-                for hi in 0..h {
-                    for wi in 0..w {
-                        s += grad_mid.at4(ni, ci, hi, wi);
-                    }
-                }
-                grad_t.data_mut()[ni * c + ci] = s;
+        for (t, plane) in grad_t
+            .data_mut()
+            .iter_mut()
+            .zip(grad_mid.data().chunks(h * w))
+        {
+            let mut s = 0.0;
+            for &v in plane {
+                s += v;
             }
+            *t = s;
         }
         let g_t = self.temb_proj.backward(&grad_t);
         let grad_temb = self.silu_t.backward(&g_t);
