@@ -10,7 +10,7 @@
 //! * **LegalGAN** \[8\] — a learned post-processor that *modifies* a
 //!   generated topology towards legality; reproduced as a rule-guided
 //!   morphological legalizer with the same interface and effect direction
-//!   ([`MorphLegalizer`]; see DESIGN.md substitution table),
+//!   ([`MorphLegalizer`]; see PAPER.md, "Substitutions"),
 //! * **LayouTransformer** \[9\] — sequential polygon generation; reproduced
 //!   as an order-2 Markov model over polygon edge tokens with physical
 //!   coordinates ([`SequenceModel`]).

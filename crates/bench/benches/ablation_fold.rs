@@ -1,4 +1,4 @@
-//! DESIGN.md ablation D1: the Deep Squish claim (paper §III-B).
+//! Fold ablation: the Deep Squish claim (paper §III-B).
 //!
 //! Diffusion cost should be dominated by spatial input size, not channel
 //! count. At fixed information content (a 32x32 binary topology matrix),

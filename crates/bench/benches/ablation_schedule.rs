@@ -1,4 +1,4 @@
-//! DESIGN.md ablation D2: the noise schedule (paper Eq. 7–8).
+//! Schedule ablation: the noise schedule (paper Eq. 7–8).
 //!
 //! Measures (a) reverse-sampling cost as a function of the step count K —
 //! the knob trading sample quality for time — and (b) prints the mixing

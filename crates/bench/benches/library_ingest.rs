@@ -1,6 +1,6 @@
 //! Ingest-path microbenchmarks for the durable pattern library
-//! (`dp_library`): the PR 7 acceptance benchmark, written to
-//! `BENCH_pr7.json` by the CI quick-bench.
+//! (`dp_library`); the CI quick-bench records their medians in
+//! `BENCH_ci.json`.
 //!
 //! Two rows, both per *batch of 64 patterns* against a live on-disk
 //! store (real `pwrite`s, real CRC framing):

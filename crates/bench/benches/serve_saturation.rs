@@ -15,7 +15,7 @@
 //!   concurrent figure, not 4x the sequential one.
 //!
 //! With `DP_BENCH_JSON` set, medians land in the shared medians file
-//! (the CI quick-bench writes `BENCH_pr6.json`).
+//! (the CI quick-bench writes `BENCH_ci.json`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use diffpattern::{PatternService, RequestSpec, TrainedModel};

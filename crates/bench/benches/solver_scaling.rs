@@ -1,6 +1,6 @@
 //! Eq. 14 solver scaling: solve time versus topology matrix side, and the
-//! cost of extracting the constraint system (context for DESIGN.md D3 and
-//! for Table II's absolute solving numbers).
+//! cost of extracting the constraint system (context for Table II's
+//! absolute solving numbers).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_bench::bench_topology;

@@ -1,18 +1,21 @@
 //! Shared fixtures for the benchmark harness.
 //!
-//! Each bench target regenerates one table or ablation from DESIGN.md:
+//! Each bench target regenerates one paper table or measures one design
+//! choice:
 //!
 //! * `table1_generation` — per-pattern generation cost of every method in
 //!   Table I (the quality numbers themselves come from
 //!   `examples/table1_comparison.rs`),
 //! * `table2_efficiency` — paper Table II: topology sampling time and
 //!   Solving-R vs Solving-E,
-//! * `ablation_fold` — DESIGN.md D1: U-Net step cost as a function of the
-//!   Deep Squish channel count at fixed information content,
-//! * `ablation_schedule` — DESIGN.md D2: reverse-sampling cost vs K and
-//!   mixing speed of linear vs constant β schedules,
-//! * `solver_scaling` — DESIGN.md D3 context: Eq. 14 solve cost vs
-//!   topology size.
+//! * `ablation_fold` — the Deep Squish fold (paper §III-B): U-Net step
+//!   cost as a function of the channel count at fixed information
+//!   content,
+//! * `ablation_schedule` — the noise schedule (paper Eq. 7–8):
+//!   reverse-sampling cost vs K and mixing speed of linear vs constant β
+//!   schedules,
+//! * `solver_scaling` — Eq. 14 solve cost vs topology size, the context
+//!   for Table II's absolute solving numbers.
 
 use dp_geometry::{bowtie, BitGrid};
 use rand::{Rng, SeedableRng};

@@ -7,9 +7,11 @@
 //! cargo run --release --example fig_inpaint_repair
 //! ```
 //!
-//! The run asserts the two contracts the conditioning stack promises:
-//! every delivered pattern carries the frozen bits exactly, and the
-//! repair workload reaches at least 95 % DRC-clean.
+//! The run asserts the contracts the conditioning stack promises: every
+//! delivered pattern carries the frozen bits exactly, the repair workload
+//! reaches at least 95 % DRC-clean, and the eight repair requests — eight
+//! different conditionings in flight together, sharing micro-batches —
+//! each deliver exactly what the same spec delivers alone.
 
 use diffpattern::drc::check_pattern;
 use diffpattern::geometry::{BitGrid, Layout, Rect};
@@ -105,11 +107,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         .seed(1_000 + case as u64)
         .conditioning(cond.clone());
-        submitted.push((case, cond, service.submit(&spec)?));
+        let handle = service.submit(&spec)?;
+        submitted.push((case, cond, spec, handle));
+    }
+    let mut finished = Vec::new();
+    for (case, cond, spec, handle) in submitted {
+        finished.push((case, cond, spec, handle.wait()?));
     }
     let mut repaired = 0usize;
-    for (case, cond, handle) in submitted {
-        let batch = handle.wait()?;
+    for (case, cond, spec, batch) in finished {
+        // The eight conditionings shared micro-batches; each result must
+        // still be exactly what its spec delivers with the pool to itself.
+        let alone = service.generate(&spec)?;
+        assert!(
+            batch.items == alone.items && batch.report == alone.report,
+            "repair case {case}: concurrent result differs from the spec run alone"
+        );
         let Some(g) = batch.items.first() else {
             eprintln!("repair case {case}: fell short");
             continue;

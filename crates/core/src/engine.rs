@@ -12,6 +12,13 @@
 //! admission order, concurrent load, priorities) chooses *when* a lane
 //! runs, never *what* it produces.
 //!
+//! Each lane also carries its request's [`Conditioning`] into the
+//! sampler ([`Sampler::sample_lanes_with`]), so the only thing lanes of
+//! one lock-step chunk must agree on is the stride, which fixes the
+//! denoising steps they run. Unconditioned, frozen-region and guided
+//! lanes share chunks, and no lane ever samples under another request's
+//! conditioning.
+//!
 //! The module is internal; its public face is [`crate::PatternService`],
 //! whose persistent workers over an owned `Arc<TrainedModel>` each run
 //! [`run_worker`].
@@ -27,6 +34,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 /// What a finished lane hands back through its request's channel.
+#[derive(Debug, PartialEq)]
 pub(crate) enum Payload {
     /// A fully legalized pattern with provenance.
     Pattern(Generated),
@@ -61,22 +69,18 @@ pub(crate) struct RequestJob {
     /// RNG stream from `item_seed(seed, first_index + i)`, so a request
     /// is an exact sub-range of the `(seed, index)` item space.
     pub(crate) first_index: usize,
-    /// Reverse-sampling stride; with the conditioning hash it forms the
-    /// [`LanePlan`] key: lanes may share a lock-step micro-batch only when
-    /// they traverse the same denoising step sequence under the same
-    /// constraints.
+    /// Reverse-sampling stride, the chunk key: lanes may share a
+    /// lock-step micro-batch only when they traverse the same denoising
+    /// step sequence.
     pub(crate) stride: usize,
     /// The retained denoising steps for `stride` (precomputed once).
     pub(crate) retained: Arc<[usize]>,
     /// Per-lane sampling constraints (frozen region, motif guidance) —
-    /// every lane of the request samples under the same conditioning.
-    /// [`Conditioning::none`] is the unconditioned path and draws the
-    /// exact random sequence the pre-conditioning sampler drew.
+    /// every lane of the request samples under this conditioning, whatever
+    /// other requests share its chunk. [`Conditioning::none`] is the
+    /// unconditioned path and draws the exact random sequence the
+    /// pre-conditioning sampler drew.
     pub(crate) conditioning: Arc<Conditioning>,
-    /// [`Conditioning::plan_hash`] of `conditioning`, precomputed at
-    /// submit: the second component of the micro-batch plan key (lanes
-    /// only share a lock-step batch when their conditioning matches).
-    pub(crate) cond_hash: u64,
     pub(crate) max_attempts: usize,
     pub(crate) repair_bowties: bool,
     pub(crate) solver: Solver,
@@ -85,26 +89,6 @@ pub(crate) struct RequestJob {
     /// converted to shortfall: unclaimed lanes at claim time, in-flight
     /// lanes between denoising rounds. `None` never expires.
     pub(crate) deadline: Option<Instant>,
-}
-
-/// The micro-batch *plan key*: the sampling parameters every lane of a
-/// lock-step chunk must agree on. The stride decides which denoising
-/// steps run; the conditioning hash keeps differently-constrained lanes
-/// out of each other's batches (the batched sampler applies one
-/// [`Conditioning`] to the whole chunk).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LanePlan {
-    stride: usize,
-    cond_hash: u64,
-}
-
-impl LanePlan {
-    fn of(job: &RequestJob) -> Self {
-        LanePlan {
-            stride: job.stride,
-            cond_hash: job.cond_hash,
-        }
-    }
 }
 
 struct Request {
@@ -361,9 +345,9 @@ impl Engine {
 
     /// Claims the next micro-batch of lanes, drawing from as many pending
     /// requests as needed to fill it (the cross-request batching at the
-    /// heart of the service). All claimed lanes share one [`LanePlan`]
-    /// (stride and conditioning); requests on a different plan wait for
-    /// their own batch.
+    /// heart of the service). All claimed lanes share one stride, whatever
+    /// their conditioning; requests on a different stride wait for their
+    /// own batch.
     ///
     /// Parks while nothing is claimable; returns `None` once the engine
     /// is shut down.
@@ -383,16 +367,13 @@ impl Engine {
             let nearest_deadline = Self::expire_due(&mut sched);
 
             let mut lanes: Vec<Lane> = Vec::new();
-            let mut plan = LanePlan {
-                stride: 0,
-                cond_hash: 0,
-            };
+            let mut stride = 0;
             let mut i = 0;
             while i < sched.queue.len() && lanes.len() < self.micro_batch {
                 let pending = &mut sched.queue[i];
                 if lanes.is_empty() {
-                    plan = LanePlan::of(&pending.req.job);
-                } else if LanePlan::of(&pending.req.job) != plan {
+                    stride = pending.req.job.stride;
+                } else if pending.req.job.stride != stride {
                     i += 1;
                     continue;
                 }
@@ -439,12 +420,13 @@ impl Engine {
 
     /// Runs a claimed chunk to completion: per round, all still-active
     /// lanes draw one topology together through the batched sampler (one
-    /// U-Net evaluation per denoising step for the whole round); each lane
-    /// then runs its request's bow-tie pre-filter and — when the sample
-    /// survives — its finish stage (donor pick + solve for
-    /// [`Mode::Generate`], a no-op for [`Mode::TopologyOnly`]) on its own
-    /// RNG. Lanes leave the round set on success, error or a spent attempt
-    /// budget, so a chunk's denoising batch only ever shrinks.
+    /// U-Net evaluation per denoising step for the whole round), each
+    /// under its own request's conditioning; each lane then runs its
+    /// request's bow-tie pre-filter and — when the sample survives — its
+    /// finish stage (donor pick + solve for [`Mode::Generate`], a no-op
+    /// for [`Mode::TopologyOnly`]) on its own RNG. Lanes leave the round
+    /// set on success, error or a spent attempt budget, so a chunk's
+    /// denoising batch only ever shrinks.
     ///
     /// A lane's RNG sees exactly the draw sequence a solo run would
     /// consume (sample bits, then donor/solver draws, then the next
@@ -470,35 +452,35 @@ impl Engine {
                     lane.active = false;
                 }
             }
-            // All active lanes share one plan (claim's invariant), so the
-            // first active lane's retained steps and conditioning describe
-            // the whole round. `retained` is the full `1..=K` chain for
-            // stride 1 and the respaced subset otherwise.
-            let Some(plan) = lanes.iter().find(|l| l.active).map(|l| {
-                (
-                    Arc::clone(&l.req.job.retained),
-                    Arc::clone(&l.req.job.conditioning),
-                )
-            }) else {
+            // All active lanes share one stride (claim's invariant), so the
+            // first active lane's retained steps describe the whole round:
+            // the full `1..=K` chain for stride 1 and the respaced subset
+            // otherwise. Conditioning stays per lane.
+            let Some(retained) = lanes
+                .iter()
+                .find(|l| l.active)
+                .map(|l| Arc::clone(&l.req.job.retained))
+            else {
                 return;
             };
-            let (retained, conditioning) = plan;
 
-            let mut rngs: Vec<&mut rand::rngs::StdRng> = lanes
-                .iter_mut()
-                .filter(|l| l.active)
-                .map(|l| &mut l.rng)
-                .collect();
-            let tensors = self.sampler.sample_conditioned_batch_with(
-                model,
-                channels,
-                side,
-                &retained,
-                &conditioning,
-                &mut rngs,
-                scratch,
-            );
-            drop(rngs);
+            let tensors = {
+                let (mut rngs, conditioning): (Vec<&mut rand::rngs::StdRng>, Vec<&Conditioning>) =
+                    lanes
+                        .iter_mut()
+                        .filter(|l| l.active)
+                        .map(|l| (&mut l.rng, &*l.req.job.conditioning))
+                        .unzip();
+                self.sampler.sample_lanes_with(
+                    model,
+                    channels,
+                    side,
+                    &retained,
+                    &conditioning,
+                    &mut rngs,
+                    scratch,
+                )
+            };
 
             let mut tensors = tensors.into_iter();
             for lane in lanes.iter_mut().filter(|l| l.active) {
@@ -682,11 +664,114 @@ pub(crate) fn lane_rng(lane_seed: u64) -> rand::rngs::StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{hotspot_guidance, Pipeline, PipelineConfig, RequestSpec};
+    use dp_diffusion::FrozenRegion;
 
     #[test]
     fn item_seeds_are_distinct() {
         let seeds: std::collections::HashSet<u64> = (0..1000).map(|i| item_seed(42, i)).collect();
         assert_eq!(seeds.len(), 1000);
         assert_ne!(item_seed(1, 0), item_seed(2, 0));
+    }
+
+    /// What one finished lane produced, keyed by `(request seed, index)`.
+    type LaneResult = ((u64, usize), Option<Payload>, PipelineReport);
+
+    /// Submits `specs` to a worker-less `engine`, claims exactly one chunk
+    /// and runs it; returns the chunk's lane results and how many distinct
+    /// requests it held.
+    fn run_one_chunk(
+        engine: &Engine,
+        model: &TrainedModel,
+        specs: &[&RequestSpec],
+    ) -> (Vec<LaneResult>, usize) {
+        let receivers: Vec<_> = specs
+            .iter()
+            .map(|spec| {
+                let job = RequestJob {
+                    mode: Mode::TopologyOnly,
+                    seed: spec.seed,
+                    count: spec.count,
+                    first_index: spec.first_index,
+                    stride: spec.sample_stride,
+                    retained: engine.strided_steps(spec.sample_stride).into(),
+                    conditioning: Arc::clone(&spec.conditioning),
+                    max_attempts: spec.max_attempts,
+                    repair_bowties: spec.repair_bowties,
+                    solver: Solver::new(spec.rules, spec.solver),
+                    donors: Arc::clone(&spec.donors),
+                    deadline: None,
+                };
+                let cancel = Arc::new(AtomicBool::new(false));
+                engine.submit(job, spec.priority, cancel).unwrap()
+            })
+            .collect();
+        let mut lanes = engine.claim().expect("work was submitted");
+        let requests: std::collections::HashSet<u64> = lanes.iter().map(|l| l.req.seq).collect();
+        engine.process_chunk(model, &mut lanes, &mut BatchScratch::new());
+        drop(receivers);
+        let results = lanes
+            .into_iter()
+            .map(|lane| {
+                assert!(lane.error.is_none());
+                ((lane.req.job.seed, lane.index), lane.outcome, lane.report)
+            })
+            .collect();
+        (results, requests.len())
+    }
+
+    #[test]
+    fn differently_conditioned_requests_share_a_chunk_and_keep_their_bytes() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut pipeline = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng).unwrap();
+        let _ = pipeline.train(2, &mut rng).unwrap();
+        let base = RequestSpec {
+            sample_stride: 3,
+            max_attempts: 2,
+            ..pipeline.request_spec(2)
+        };
+        let model = pipeline.into_trained_model().unwrap();
+        let (channels, side) = (model.channels(), model.side());
+        // Freeze a dataset topology everywhere but its upper-right
+        // quadrant, which the model redraws.
+        let donor = base.donors[0].topology();
+        let half = model.matrix_side() / 2;
+        let mut mask = BitGrid::new(donor.width(), donor.height()).unwrap();
+        for row in 0..donor.height() {
+            for col in 0..donor.width() {
+                mask.set(col, row, row < half || col < half);
+            }
+        }
+        let fold = |grid: &BitGrid| {
+            let tensor = DeepSquishTensor::fold(grid, channels).unwrap();
+            tensor.bits().to_vec()
+        };
+        let frozen = FrozenRegion::new(fold(&mask), fold(donor)).unwrap();
+        let specs = [
+            base.clone().seed(1),
+            base.clone()
+                .seed(2)
+                .conditioning(Conditioning::none().with_frozen(frozen)),
+            base.clone()
+                .seed(3)
+                .conditioning(Conditioning::none().with_avoid(hotspot_guidance(&base.rules))),
+        ];
+        let engine = || Engine::new(model.sampler(), channels, side, 8, 0);
+
+        // One claim takes all six lanes of the three requests.
+        let all: Vec<&RequestSpec> = specs.iter().collect();
+        let (mut together, requests) = run_one_chunk(&engine(), &model, &all);
+        assert_eq!(requests, 3, "same-stride requests must share one chunk");
+        assert_eq!(together.len(), 6);
+        assert!(together.iter().all(|(_, payload, _)| payload.is_some()));
+
+        // Each lane equals its request run alone.
+        let mut alone: Vec<LaneResult> = specs
+            .iter()
+            .flat_map(|spec| run_one_chunk(&engine(), &model, &[spec]).0)
+            .collect();
+        alone.sort_by_key(|(key, _, _)| *key);
+        together.sort_by_key(|(key, _, _)| *key);
+        assert_eq!(together, alone);
     }
 }

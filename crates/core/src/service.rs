@@ -158,8 +158,10 @@ pub struct RequestSpec {
     /// masked entries of every sampled topology tensor are clamped to the
     /// given bits) and/or motif-avoidance guidance. The default
     /// [`Conditioning::none`] is the unconditioned path, bit-identical to
-    /// pre-conditioning releases. Lanes only share a micro-batch with
-    /// lanes under the same conditioning, and a frozen region's shape is
+    /// pre-conditioning releases. Each lane samples under its own
+    /// request's conditioning, so requests with different conditionings
+    /// (or none) share micro-batches without changing each other's bytes;
+    /// only the stride splits batches. A frozen region's shape is
     /// validated against the model's tensor at submit
     /// ([`ConfigError::ConditioningShape`]). Shared (`Arc`) so specs
     /// clone cheaply.
@@ -519,7 +521,6 @@ impl PatternService {
             solver: Solver::new(spec.rules, spec.solver),
             donors: Arc::clone(&spec.donors),
             conditioning: Arc::clone(&spec.conditioning),
-            cond_hash: spec.conditioning.plan_hash(),
             deadline,
         };
         let cancel = Arc::new(AtomicBool::new(false));

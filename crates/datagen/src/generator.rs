@@ -72,7 +72,7 @@ impl Default for GeneratorConfig {
 }
 
 /// Generates a synthetic single-layer routing map (the ICCAD-2014 layout
-/// substitute; see DESIGN.md substitution table).
+/// substitute; see PAPER.md, "Substitutions").
 #[derive(Debug, Clone)]
 pub struct LayoutMapGenerator {
     config: GeneratorConfig,

@@ -7,7 +7,7 @@
 //! synthetic Manhattan routing-style layer with the same statistical
 //! character — tracks of varying wire width, heavy-tailed segment lengths,
 //! power rails, pin stubs — and splits it into the same tiles
-//! (see DESIGN.md, substitution table). The downstream pipeline never
+//! (see PAPER.md, "Substitutions"). The downstream pipeline never
 //! inspects provenance: only squish topologies and Δ vectors flow onward.
 //!
 //! The crate also owns the evaluation metrics of §II-C:

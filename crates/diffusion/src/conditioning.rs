@@ -22,7 +22,9 @@
 //! randomness and perturbs no probability, so unconditioned lanes remain
 //! bit-identical with or without the conditioning plumbing. A conditioned
 //! lane draws its extra flips from *its own* RNG stream, keeping every
-//! lane's output a pure function of `(seed, index, conditioning)`.
+//! lane's output a pure function of `(seed, index, conditioning)`, so
+//! lanes under different conditionings share one batch call
+//! ([`crate::Sampler::sample_lanes_with`]).
 
 use crate::DiffusionError;
 use rand::Rng;
@@ -282,56 +284,6 @@ impl Conditioning {
     pub fn matches_entries(&self, entries: usize) -> bool {
         self.frozen.as_ref().is_none_or(|f| f.len() == entries)
     }
-
-    /// A content hash suitable for a micro-batch plan key: two lanes may
-    /// share a lock-step chunk only when their whole plan — including this
-    /// hash — matches. [`Conditioning::none`] hashes to 0 so unconditioned
-    /// batching keys are stable across processes.
-    pub fn plan_hash(&self) -> u64 {
-        if self.is_none() {
-            return 0;
-        }
-        // FNV-1a over a canonical byte rendering.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |byte: u8| {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        match &self.frozen {
-            None => eat(0),
-            Some(region) => {
-                eat(1);
-                for chunk in region.mask().chunks(8) {
-                    let mut b = 0u8;
-                    for (i, &v) in chunk.iter().enumerate() {
-                        b |= (v as u8) << i;
-                    }
-                    eat(b);
-                }
-                eat(2);
-                for chunk in region.bits().chunks(8) {
-                    let mut b = 0u8;
-                    for (i, &v) in chunk.iter().enumerate() {
-                        b |= (v as u8) << i;
-                    }
-                    eat(b);
-                }
-            }
-        }
-        match &self.avoid {
-            None => eat(0),
-            Some(g) => {
-                eat(3);
-                eat(match g.motif() {
-                    Motif::IsolatedCell => 1,
-                });
-                for byte in g.weight().to_bits().to_le_bytes() {
-                    eat(byte);
-                }
-            }
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -340,10 +292,9 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn none_is_none_and_hashes_to_zero() {
+    fn none_is_none_and_matches_every_shape() {
         let c = Conditioning::none();
         assert!(c.is_none());
-        assert_eq!(c.plan_hash(), 0);
         assert!(c.matches_entries(0));
         assert!(c.matches_entries(64));
     }
@@ -370,28 +321,6 @@ mod tests {
         let m = Motif::IsolatedCell;
         assert_eq!(Motif::from_name(m.name()), Some(m));
         assert_eq!(Motif::from_name("no-such-motif"), None);
-    }
-
-    #[test]
-    fn plan_hash_distinguishes_contents() {
-        let region = |bit: bool| FrozenRegion::new(vec![true; 8], vec![bit; 8]).unwrap();
-        let a = Conditioning::none().with_frozen(region(false));
-        let b = Conditioning::none().with_frozen(region(true));
-        assert_ne!(a.plan_hash(), b.plan_hash());
-        assert_ne!(a.plan_hash(), 0);
-        // Same contents, independently built: same hash.
-        let a2 = Conditioning::none().with_frozen(region(false));
-        assert_eq!(a.plan_hash(), a2.plan_hash());
-        // Adding guidance changes the key.
-        let g = MotifGuidance::new(Motif::IsolatedCell, 1.5).unwrap();
-        assert_ne!(a.plan_hash(), a.clone().with_avoid(g).plan_hash());
-        // Mask vs bits are domain-separated: swapping which side carries
-        // the payload must not collide.
-        let swapped = Conditioning::none()
-            .with_frozen(FrozenRegion::new(vec![false; 8], vec![true; 8]).unwrap());
-        let masked = Conditioning::none()
-            .with_frozen(FrozenRegion::new(vec![true; 8], vec![false; 8]).unwrap());
-        assert_ne!(swapped.plan_hash(), masked.plan_hash());
     }
 
     #[test]

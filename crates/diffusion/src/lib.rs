@@ -27,16 +27,18 @@
 //! directly.
 //!
 //! Sampling has one batched *conditioned* core,
-//! [`Sampler::sample_conditioned_batch_with`], parameterised by a
-//! [`Conditioning`]: a [`FrozenRegion`]
+//! [`Sampler::sample_lanes_with`], which takes one [`Conditioning`] per
+//! lane: a [`FrozenRegion`]
 //! holds known bits through the whole reverse chain (diffusion
 //! inpainting — the frozen set rides `q(x_k | x_0)` between steps so
 //! lane statistics stay on-manifold, and is clamped exactly at the
 //! end), and a [`MotifGuidance`] reweights the terminal draw against a
 //! hotspot motif. [`Conditioning::none`] is the unconditioned case and
-//! costs nothing; each lane consumes exactly its own RNG stream either
-//! way, so conditioned and unconditioned lanes compose freely in one
-//! batch call without perturbing each other.
+//! costs nothing; each lane consumes exactly its own RNG stream under
+//! exactly its own conditioning, so conditioned and unconditioned lanes
+//! compose freely in one batch call without perturbing each other.
+//! [`Sampler::sample_conditioned_batch_with`] is the same loop with one
+//! conditioning for every lane.
 //!
 //! # Example: forward process converges to the uniform distribution
 //!

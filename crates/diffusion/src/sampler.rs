@@ -34,11 +34,13 @@ impl BatchScratch {
 /// is no threshold anywhere, which is the paper's core argument for
 /// discrete diffusion.
 ///
-/// There is one sampling core, [`Sampler::sample_conditioned_batch_with`]:
-/// a single chain is a batch of one, the plain ancestral chain is the
-/// retained set [`Sampler::strided_steps`]`(1)` under
+/// There is one sampling loop with two entries:
+/// [`Sampler::sample_lanes_with`] takes one [`Conditioning`] per lane, and
+/// [`Sampler::sample_conditioned_batch_with`] is its same-conditioning
+/// case. A single chain is a batch of one, the plain ancestral chain is
+/// the retained set [`Sampler::strided_steps`]`(1)` under
 /// [`Conditioning::none`], and [`Sampler::sample_with_trace`] records the
-/// core's states from outside it.
+/// loop's states from outside it.
 #[derive(Debug, Clone)]
 pub struct Sampler {
     schedule: NoiseSchedule,
@@ -75,27 +77,69 @@ impl Sampler {
     /// Consecutive retained steps are joined by the generalised jump
     /// posterior `q(x_j | x_k, x̃_0)` (respaced, DDIM-style sampling, paper
     /// ref. \[12\]); the full sequence `1..=K` is the plain ancestral
-    /// chain. `conditioning` bends every lane's chain the same way: frozen
-    /// entries are q-sampled to the step's noise level after every reverse
-    /// step and clamped exactly at the end; motif guidance reweights the
-    /// terminal draw's logits. [`Conditioning::none`] draws nothing extra
-    /// and perturbs no probability.
+    /// chain. Lane `i` samples under `conditioning[i]`: frozen entries are
+    /// q-sampled to the step's noise level after every reverse step and
+    /// clamped exactly at the end; motif guidance reweights the terminal
+    /// draw's logits. [`Conditioning::none`] draws nothing extra and
+    /// perturbs no probability, so conditioned and unconditioned lanes
+    /// share one batch freely.
     ///
     /// Determinism: each lane consumes only its own RNG, in a fixed order,
-    /// and the batched network evaluation is bit-identical per item (see
+    /// under only its own conditioning, and the batched network
+    /// evaluation is bit-identical per item (see
     /// [`InferenceDenoiser::infer_p1_batch_into`]), so lane `i` of the
     /// result is **bit-identical** to a batch of one driven by `rngs[i]`
-    /// alone — batching changes the cost, never the samples. An empty
-    /// `rngs` slice returns an empty vector without touching the denoiser.
+    /// under `conditioning[i]` alone — batching changes the cost, never
+    /// the samples. An empty `rngs` slice returns an empty vector without
+    /// touching the denoiser.
     ///
     /// # Panics
     ///
-    /// Panics when `retained` is empty, unsorted, contains 0 or exceeds K,
-    /// or when the conditioning's frozen mask does not span exactly
-    /// `channels * side * side` entries (validate shapes upstream with
-    /// [`Conditioning::matches_entries`]). Both are checked even for an
-    /// empty batch, so a misconfigured schedule or mask never goes
-    /// unnoticed.
+    /// Panics when `conditioning` and `rngs` differ in length, when
+    /// `retained` is empty, unsorted, contains 0 or exceeds K, or when a
+    /// lane's frozen mask does not span exactly `channels * side * side`
+    /// entries (validate shapes upstream with
+    /// [`Conditioning::matches_entries`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn sample_lanes_with<R: Rng>(
+        &self,
+        denoiser: &dyn InferenceDenoiser,
+        channels: usize,
+        side: usize,
+        retained: &[usize],
+        conditioning: &[&Conditioning],
+        rngs: &mut [R],
+        scratch: &mut BatchScratch,
+    ) -> Vec<DeepSquishTensor> {
+        assert_eq!(
+            conditioning.len(),
+            rngs.len(),
+            "one conditioning per lane RNG"
+        );
+        for lane in conditioning {
+            assert_spans(lane, channels * side * side);
+        }
+        self.sample_lanes(
+            denoiser,
+            channels,
+            side,
+            retained,
+            |li| conditioning[li],
+            rngs,
+            scratch,
+        )
+    }
+
+    /// [`Sampler::sample_lanes_with`] with every lane under the same
+    /// `conditioning`: the same loop, without a per-lane slice to build.
+    /// Lane `i` is bit-identical to `sample_lanes_with` with
+    /// `conditioning` in slot `i`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Sampler::sample_lanes_with`]. The step subset and the mask
+    /// shape are checked even for an empty batch, so a misconfigured
+    /// schedule or mask never goes unnoticed.
     #[allow(clippy::too_many_arguments)]
     pub fn sample_conditioned_batch_with<R: Rng>(
         &self,
@@ -107,19 +151,41 @@ impl Sampler {
         rngs: &mut [R],
         scratch: &mut BatchScratch,
     ) -> Vec<DeepSquishTensor> {
+        assert_spans(conditioning, channels * side * side);
+        self.sample_lanes(
+            denoiser,
+            channels,
+            side,
+            retained,
+            |_| conditioning,
+            rngs,
+            scratch,
+        )
+    }
+
+    /// The loop behind both entries; `conditioning(i)` is lane `i`'s
+    /// conditioning, already checked against the tensor shape.
+    #[allow(clippy::too_many_arguments)]
+    fn sample_lanes<'c, R: Rng>(
+        &self,
+        denoiser: &dyn InferenceDenoiser,
+        channels: usize,
+        side: usize,
+        retained: &[usize],
+        conditioning: impl Fn(usize) -> &'c Conditioning,
+        rngs: &mut [R],
+        scratch: &mut BatchScratch,
+    ) -> Vec<DeepSquishTensor> {
         let entries = channels * side * side;
         self.validate_retained(retained);
-        assert!(
-            conditioning.matches_entries(entries),
-            "conditioning mask does not span {entries} entries"
-        );
         let k_top = *retained.last().expect("non-empty");
 
         let mut states: Vec<DeepSquishTensor> = rngs
             .iter_mut()
-            .map(|rng| {
+            .enumerate()
+            .map(|(li, rng)| {
                 let mut state = uniform_state(channels, side, rng);
-                if let Some(region) = conditioning.frozen() {
+                if let Some(region) = conditioning(li).frozen() {
                     // Lanes start at q(x_{k_top} | x0) on the frozen set.
                     region.write_noised(
                         self.schedule.cumulative_flip(k_top),
@@ -152,6 +218,7 @@ impl Sampler {
             });
             for (li, (state, rng)) in states.iter_mut().zip(rngs.iter_mut()).enumerate() {
                 let lane = &mut p1[li * entries..(li + 1) * entries];
+                let conditioning = conditioning(li);
                 match coeffs {
                     Some((eq, ne)) => {
                         reverse_update_in_place(eq, ne, state.bits_mut(), lane, rng);
@@ -178,7 +245,7 @@ impl Sampler {
         states
     }
 
-    /// The retained-step contract of the sampling core.
+    /// The retained-step contract of the sampling loop.
     fn validate_retained(&self, retained: &[usize]) {
         assert!(!retained.is_empty(), "empty step subset");
         assert!(
@@ -193,7 +260,7 @@ impl Sampler {
     }
 
     /// Builds an evenly strided retained-step subset `[s, 2s, ..., K]` for
-    /// [`Sampler::sample_conditioned_batch_with`]; stride 1 is the full
+    /// [`Sampler::sample_lanes_with`]; stride 1 is the full
     /// ancestral chain `1..=K` (`posterior_jump_same_prob(k-1, k)` is
     /// bit-exactly [`crate::posterior_same_prob`]`(k)`).
     ///
@@ -289,6 +356,14 @@ impl InferenceDenoiser for Recorder<'_> {
         }
         self.inner.infer_p1_batch_into(xks, k, ws, out);
     }
+}
+
+/// The mask-shape contract of both sampling entries.
+fn assert_spans(conditioning: &Conditioning, entries: usize) {
+    assert!(
+        conditioning.matches_entries(entries),
+        "conditioning mask does not span {entries} entries"
+    );
 }
 
 /// Rebiases one lane's `p1` in place for the terminal draw: copies the
@@ -876,6 +951,73 @@ mod tests {
             );
             assert_eq!(batched[li], solo, "lane {li} diverged");
         }
+    }
+
+    #[test]
+    fn per_lane_conditioning_matches_each_lane_sampled_alone() {
+        // Four differently conditioned lanes share one lock-step batch.
+        // Each must equal a batch of one under its own conditioning, on
+        // the full chain and on a respaced chain alike.
+        let bits: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
+        let x0 = DeepSquishTensor::from_bits(1, 8, bits).unwrap();
+        let oracle = OracleDenoiser::new(x0, 0.9);
+        let sampler = Sampler::new(schedule());
+        let guidance = MotifGuidance::new(crate::Motif::IsolatedCell, 2.0).unwrap();
+        let lanes = [
+            Conditioning::none(),
+            Conditioning::none().with_frozen(frozen_checkerboard(64, 5, 20)),
+            Conditioning::none()
+                .with_frozen(frozen_checkerboard(64, 30, 24))
+                .with_avoid(guidance),
+            Conditioning::none().with_avoid(guidance),
+        ];
+        let per_lane: Vec<&Conditioning> = lanes.iter().collect();
+        let seeds = [9100u64, 9101, 9102, 9103];
+        let mut scratch = BatchScratch::new();
+        let mut solo_scratch = BatchScratch::new();
+        for stride in [1usize, 7] {
+            let retained = sampler.strided_steps(stride);
+            let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+            let batched = sampler.sample_lanes_with(
+                &oracle,
+                1,
+                8,
+                &retained,
+                &per_lane,
+                &mut rngs,
+                &mut scratch,
+            );
+            for (li, (&seed, cond)) in seeds.iter().zip(&lanes).enumerate() {
+                let alone = solo(
+                    &sampler,
+                    &oracle,
+                    1,
+                    8,
+                    &retained,
+                    cond,
+                    &mut StdRng::seed_from_u64(seed),
+                    &mut solo_scratch,
+                );
+                assert_eq!(batched[li], alone, "stride {stride} lane {li} diverged");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one conditioning per lane RNG")]
+    fn per_lane_entry_rejects_a_conditioning_slice_of_the_wrong_length() {
+        let sampler = Sampler::new(schedule());
+        let none = Conditioning::none();
+        let mut rngs: Vec<StdRng> = (0..3).map(StdRng::seed_from_u64).collect();
+        let _ = sampler.sample_lanes_with(
+            &UniformDenoiser::new(),
+            1,
+            4,
+            &sampler.strided_steps(10),
+            &[&none, &none],
+            &mut rngs,
+            &mut BatchScratch::new(),
+        );
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! residual blocks per level, a self-attention block at 16x16, GroupNorm,
 //! SiLU activations, sinusoidal time embeddings and the Adam optimizer.
 //! No Rust deep-learning framework with a stable training story was
-//! acceptable as a dependency for this reproduction (see DESIGN.md), so
-//! this crate implements the required subset from scratch:
+//! acceptable as a dependency for this reproduction (see PAPER.md,
+//! "Substitutions"), so this crate implements the required subset from
+//! scratch:
 //!
 //! * [`Tensor`] — a dense `f32` NCHW tensor with shape-checked helpers,
 //! * [`Conv2d`] — convolution via im2col GEMM, exact backward,

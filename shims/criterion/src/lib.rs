@@ -20,7 +20,7 @@
 //! write: entries produced by *other* bench binaries are preserved, and
 //! entries this process re-measures are replaced — so running several
 //! `cargo bench` targets against the same path accumulates one combined
-//! snapshot (e.g. CI's quick-bench smoke writing `BENCH_pr4.json`). Only
+//! snapshot (e.g. CI's quick-bench smoke writing `BENCH_ci.json`). Only
 //! medians are recorded on purpose: single-sample wall clocks on shared
 //! CPUs swing far too much to be comparable.
 
