@@ -300,11 +300,8 @@ impl Pipeline {
         self.trainer.schedule()
     }
 
-    /// Trains the diffusion model for `iterations` steps.
-    ///
-    /// Like every [`Trainer::train`] call, the steps run with serial GEMMs
-    /// whatever the caller's [`crate::nn::with_inner_gemm_parallelism`]
-    /// setting; the trained bytes are the same either way.
+    /// Trains the diffusion model for `iterations` steps on the calling
+    /// thread (see [`Trainer::train`]).
     ///
     /// # Errors
     ///

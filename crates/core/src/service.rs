@@ -308,11 +308,10 @@ impl ServiceBuilder {
         for _ in 0..threads {
             let model = Arc::clone(&self.model);
             let engine = Arc::clone(&engine);
-            // Inner GEMM threads measured slower than one thread per
-            // worker even for a lone worker (output bytes are the same
-            // either way), so the pool is the only parallelism.
+            // GEMMs run on the worker's own thread, so the pool is the
+            // only parallelism.
             workers.push(std::thread::spawn(move || {
-                dp_nn::with_inner_gemm_parallelism(false, || engine::run_worker(&model, &engine))
+                engine::run_worker(&model, &engine)
             }));
         }
         Ok(PatternService {

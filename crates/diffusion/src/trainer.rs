@@ -139,11 +139,7 @@ impl Trainer {
 
     /// Runs `iterations` optimisation steps over `dataset`.
     ///
-    /// The steps run with serial GEMMs (inside
-    /// [`dp_nn::with_inner_gemm_parallelism`]`(false, ..)`), whatever the
-    /// caller's setting, which is restored on return. On a 2-vCPU Xeon a
-    /// shipped-profile step measured faster serial than with inner GEMM
-    /// threads; the parameters are bit-identical either way.
+    /// The steps run on the calling thread, GEMMs included.
     ///
     /// # Errors
     ///
@@ -181,11 +177,9 @@ impl Trainer {
         // dropout 0.1); sampling afterwards runs the deterministic network.
         self.denoiser.unet_mut().set_training(true);
         let mut report = TrainReport::default();
-        dp_nn::with_inner_gemm_parallelism(false, || {
-            for _ in 0..iterations {
-                report.losses.push(self.train_step(dataset, rng));
-            }
-        });
+        for _ in 0..iterations {
+            report.losses.push(self.train_step(dataset, rng));
+        }
         self.denoiser.unet_mut().set_training(false);
         Ok(report)
     }
@@ -292,33 +286,6 @@ mod tests {
             tail < head * 0.9,
             "loss did not decrease: head {head} tail {tail}"
         );
-    }
-
-    #[test]
-    fn steps_are_bit_identical_under_either_gemm_threading_setting() {
-        let config = TrainConfig {
-            batch_size: 4,
-            diffusion_steps: 20,
-            ..TrainConfig::default()
-        };
-        let dataset = striped_dataset(8);
-        let train = |threaded: bool| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-            let mut trainer = Trainer::new(&tiny_unet(1), config.clone(), &mut rng).unwrap();
-            dp_nn::with_inner_gemm_parallelism(threaded, || {
-                let _ = trainer.train(&dataset, 3, &mut rng).unwrap();
-                // The caller's setting is back once `train` returns.
-                assert_eq!(dp_nn::inner_gemm_parallelism_enabled(), threaded);
-            });
-            trainer
-                .denoiser()
-                .unet()
-                .params()
-                .iter()
-                .map(|p| p.value.data().iter().map(|v| v.to_bits()).collect())
-                .collect::<Vec<Vec<u32>>>()
-        };
-        assert_eq!(train(true), train(false));
     }
 
     #[test]

@@ -11,127 +11,28 @@
 //!
 //! # Threading policy
 //!
-//! Large multiplies *may* split their row range across
-//! `std::thread::scope` threads, with a budget of
-//! `min(available_parallelism, DP_MAX_THREADS)` (the env var is read once
-//! per process). Both heavy callers turn this off with
-//! [`with_inner_gemm_parallelism`]`(false, ..)`: every `PatternService`
-//! worker (so GEMM threads never nest inside the worker pool) and
-//! `Trainer::train` (a serial training step measured faster than a
-//! threaded one on the 2-vCPU hosts this tree is timed on). Inner threads
-//! therefore engage only for direct [`matmul`] / `UNet::infer` calls made
-//! outside both. Row partitioning never changes per-element accumulation
-//! order, so results are bit-identical at every thread count.
+//! Every multiply runs on the calling thread. Parallelism lives one level
+//! up, in the `PatternService` worker pool: on the 2-vCPU hosts this tree
+//! is timed on, splitting a shipped-profile U-Net call or training step
+//! across GEMM threads measured slower than running it serially (see the
+//! README's "Threading policy").
 
 use crate::activation::silu_val;
 use crate::norm::group_stats;
 use crate::Tensor;
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Micro-kernel height: rows of A (and of the output) processed together.
 pub(crate) const MR: usize = 4;
 
-/// Work threshold (`m * k * n`) below which a multiply stays serial.
-const PARALLEL_THRESHOLD: usize = 1 << 18;
-
-/// Programmatic thread-cap override; `0` means "no override, use the
-/// env-derived default". See [`set_gemm_thread_cap`].
-static CAP_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Hardware parallelism, looked up once.
-fn hardware_threads() -> usize {
-    static HW: OnceLock<usize> = OnceLock::new();
-    *HW.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-    })
-}
-
-/// The env-derived default thread budget:
-/// `min(available_parallelism, DP_MAX_THREADS)`, where an unset,
-/// unparsable or zero `DP_MAX_THREADS` means "no cap".
+/// Runs `f` on the calling thread and returns its result; the flag is
+/// ignored.
 ///
-/// **Read once per process**: the first GEMM (or cap query) snapshots the
-/// variable, and later `std::env::set_var` calls have no effect. Tests and
-/// embedders that need to change the cap at runtime must use
-/// [`set_gemm_thread_cap`] instead of mutating the environment.
-fn env_default_threads() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        match std::env::var("DP_MAX_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => n.min(hardware_threads()),
-            _ => hardware_threads(),
-        }
-    })
-}
-
-/// Overrides the inner-GEMM thread cap for this process; `None` restores
-/// the env-derived default. Unlike `DP_MAX_THREADS` — which is snapshotted
-/// **once per process** at the first multiply — the override takes effect
-/// immediately, so it is the supported way to change the cap after
-/// start-up (the value is still clamped to the hardware parallelism).
-///
-/// `Some(0)` mirrors the env var's "zero means no cap" rule and is
-/// equivalent to `None`; to force serial multiplies pass `Some(1)` (or
-/// scope the region with [`with_inner_gemm_parallelism`]).
-///
-/// Thread-count changes never change results: row partitioning preserves
-/// per-element accumulation order, so GEMM output is bit-identical at
-/// every cap.
-pub fn set_gemm_thread_cap(cap: Option<usize>) {
-    CAP_OVERRIDE.store(cap.unwrap_or(0), Ordering::Relaxed);
-}
-
-/// The effective inner-GEMM thread budget currently in force: the
-/// [`set_gemm_thread_cap`] override when one is set, otherwise the
-/// once-per-process `min(available_parallelism, DP_MAX_THREADS)` default.
-pub fn gemm_thread_cap() -> usize {
-    match CAP_OVERRIDE.load(Ordering::Relaxed) {
-        0 => env_default_threads(),
-        n => n.min(hardware_threads()),
-    }
-}
-
-fn max_threads() -> usize {
-    gemm_thread_cap()
-}
-
-thread_local! {
-    static INNER_PARALLELISM_DISABLED: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with inner GEMM data-parallelism enabled or disabled **on the
-/// current thread**, restoring the previous setting afterwards (also on
-/// panic).
-///
-/// `PatternService` workers wrap their worker loops in
-/// `with_inner_gemm_parallelism(false, ..)` so a large multiply inside a
-/// worker never spawns a second layer of threads, and `Trainer::train`
-/// wraps its step loop the same way because a serial step is faster. The
-/// result bytes are the same either way.
-pub fn with_inner_gemm_parallelism<R>(enabled: bool, f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            INNER_PARALLELISM_DISABLED.with(|c| c.set(self.0));
-        }
-    }
-    let prev = INNER_PARALLELISM_DISABLED.with(|c| c.replace(!enabled));
-    let _restore = Restore(prev);
+/// GEMMs always run on the calling thread, so there is no inner GEMM
+/// parallelism left to scope. This pass-through remains only because the
+/// benchmark package (`perfbench/`) still calls it; it goes once that
+/// package stops doing so.
+pub fn with_inner_gemm_parallelism<R>(_enabled: bool, f: impl FnOnce() -> R) -> R {
     f()
-}
-
-/// Whether a large multiply issued from the current thread may split
-/// across inner GEMM threads: `false` inside a
-/// [`with_inner_gemm_parallelism`]`(false, ..)` region, `true` otherwise.
-pub fn inner_gemm_parallelism_enabled() -> bool {
-    !INNER_PARALLELISM_DISABLED.with(|c| c.get())
 }
 
 /// How the output is initialised before accumulation, and (for the fused
@@ -196,9 +97,9 @@ pub(crate) struct GroupNormSilu<'a> {
 }
 
 /// Runs the elementwise finish pass of the fused epilogues over the fully
-/// accumulated `(m, n)` output. Serial by design: it runs after the
-/// thread-scope join, touches each element once, and must preserve the
-/// exact accumulation order of the standalone layers it replaces.
+/// accumulated `(m, n)` output. It runs once accumulation has finished,
+/// touches each element once, and must preserve the exact accumulation
+/// order of the standalone layers it replaces.
 fn apply_epilogue_finish(epilogue: &Epilogue<'_>, out: &mut [f32], m: usize, n: usize) {
     match epilogue {
         Epilogue::Zero
@@ -284,8 +185,7 @@ pub(crate) fn pack_a_transposed_into(at: &[f32], m: usize, k: usize, dst: &mut [
 }
 
 /// Computes `out (m x n) = unpack(packed_a) (m x k) * b (k x n)` plus the
-/// fused [`Epilogue`], splitting row panels across threads when the work
-/// is large enough and inner parallelism is allowed.
+/// fused [`Epilogue`], on the calling thread.
 pub(crate) fn gemm_packed(
     packed_a: &[f32],
     b: &[f32],
@@ -330,26 +230,7 @@ pub(crate) fn gemm_packed(
         }
     }
 
-    let blocks = m.div_ceil(MR);
-    let threads = if m * k * n >= PARALLEL_THRESHOLD && inner_gemm_parallelism_enabled() {
-        max_threads().min(blocks).max(1)
-    } else {
-        1
-    };
-    if threads <= 1 {
-        gemm_blocks(packed_a, b, out, m, k, n);
-        apply_epilogue_finish(&epilogue, out, m, n);
-        return;
-    }
-    let blocks_per = blocks.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (chunk_idx, chunk) in out.chunks_mut(blocks_per * MR * n).enumerate() {
-            let row0 = chunk_idx * blocks_per * MR;
-            let rows = chunk.len() / n;
-            let panel = &packed_a[row0 * k..];
-            scope.spawn(move || gemm_blocks(panel, b, chunk, rows, k, n));
-        }
-    });
+    gemm_blocks(packed_a, b, out, m, k, n);
     apply_epilogue_finish(&epilogue, out, m, n);
 }
 
@@ -359,8 +240,11 @@ pub(crate) fn gemm_packed(
 /// `target-cpu=native` note in `.cargo/config.toml`).
 const NR: usize = 16;
 
-/// Serial panel sweep over `rows` output rows; `packed_a` starts at the
-/// panel block of the first of those rows.
+/// Panel sweep over all `rows` output rows, one `MR`-row block at a time.
+// Kept out of line: inlined into `gemm_packed`, LLVM spills B's base
+// pointer and reloads it on every `k` step of the full-width tile, which
+// measured slower than the out-of-line kernel.
+#[inline(never)]
 fn gemm_blocks(packed_a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
     let mut done = 0usize;
     while done < rows {
@@ -728,52 +612,6 @@ mod tests {
             pack_a_into(transpose(&at).data(), m, k, &mut reference);
             assert_eq!(direct, reference, "({m},{k})");
         }
-    }
-
-    #[test]
-    fn parallel_path_matches_serial_bit_exactly() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        // Big enough to trip the parallel threshold on multi-core hosts.
-        let a = Tensor::randn(&[128, 64], 1.0, &mut rng);
-        let b = Tensor::randn(&[64, 128], 1.0, &mut rng);
-        let c = matmul(&a, &b);
-        let serial = with_inner_gemm_parallelism(false, || matmul(&a, &b));
-        assert_eq!(c, serial, "thread split must not change results");
-    }
-
-    #[test]
-    fn thread_cap_override_takes_effect_without_env_mutation() {
-        // The env default is snapshotted once per process, so this test
-        // deliberately avoids `std::env::set_var` (its effect would depend
-        // on whether another test already forced the snapshot). The
-        // programmatic override must work regardless of that order.
-        let default = gemm_thread_cap();
-        assert!(default >= 1);
-        set_gemm_thread_cap(Some(1));
-        assert_eq!(gemm_thread_cap(), 1);
-        // Requests beyond the hardware are clamped, never amplified.
-        set_gemm_thread_cap(Some(usize::MAX));
-        assert!(gemm_thread_cap() <= hardware_threads());
-        // Capped runs stay bit-identical to uncapped ones.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
-        let a = Tensor::randn(&[96, 64], 1.0, &mut rng);
-        let b = Tensor::randn(&[64, 96], 1.0, &mut rng);
-        set_gemm_thread_cap(Some(1));
-        let capped = matmul(&a, &b);
-        set_gemm_thread_cap(None);
-        assert_eq!(gemm_thread_cap(), default);
-        assert_eq!(matmul(&a, &b), capped);
-    }
-
-    #[test]
-    fn inner_parallelism_scope_restores() {
-        assert!(inner_gemm_parallelism_enabled());
-        with_inner_gemm_parallelism(false, || {
-            assert!(!inner_gemm_parallelism_enabled());
-            with_inner_gemm_parallelism(true, || assert!(inner_gemm_parallelism_enabled()));
-            assert!(!inner_gemm_parallelism_enabled());
-        });
-        assert!(inner_gemm_parallelism_enabled());
     }
 
     #[test]

@@ -87,10 +87,7 @@ pub use attention::SelfAttention2d;
 pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use embedding::{sinusoidal_embedding, sinusoidal_embedding_ws};
-pub use gemm::{
-    gemm_thread_cap, inner_gemm_parallelism_enabled, matmul, set_gemm_thread_cap, transpose,
-    with_inner_gemm_parallelism,
-};
+pub use gemm::{matmul, transpose, with_inner_gemm_parallelism};
 pub use linear::Linear;
 pub use norm::GroupNorm;
 pub use param::Param;

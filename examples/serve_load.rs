@@ -16,28 +16,26 @@
 //! appears only if `DP_LOAD_MAX_QUEUED` bounds the admission queue.
 
 use diffpattern::{PatternService, Pipeline, PipelineConfig, RequestSpec};
+use diffpattern_suite::env_knob;
 use dp_serve::{serve, Client, ClientError, ServeConfig};
 use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let iters = env_usize("DP_LOAD_TRAIN_ITERS", 60);
-    let per_client = env_usize("DP_LOAD_REQUESTS", 4);
-    let count = env_usize("DP_LOAD_COUNT", 2);
-    let max_queued = env_usize("DP_LOAD_MAX_QUEUED", 0);
-    let levels: Vec<usize> = std::env::var("DP_LOAD_LEVELS")
+    let iters = env_knob("DP_LOAD_TRAIN_ITERS", 60);
+    let per_client = env_knob("DP_LOAD_REQUESTS", 4);
+    let count = env_knob("DP_LOAD_COUNT", 2);
+    let max_queued = env_knob("DP_LOAD_MAX_QUEUED", 0);
+    let levels = std::env::var("DP_LOAD_LEVELS")
         .unwrap_or_else(|_| "1,2,4,8".to_string())
         .split(',')
-        .filter_map(|v| v.trim().parse().ok())
-        .collect();
+        .map(|v| {
+            v.trim()
+                .parse()
+                .map_err(|_| format!("DP_LOAD_LEVELS entry {v:?} is not a non-negative integer"))
+        })
+        .collect::<Result<Vec<usize>, _>>()?;
 
     eprintln!("training a tiny model ({iters} iterations)...");
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);

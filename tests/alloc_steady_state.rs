@@ -9,7 +9,10 @@
 //! happened per denoising step, the 60-step count would exceed the
 //! 10-step count by at least 50; the test asserts the counts are equal,
 //! pinning the per-step allocation count to exactly zero without having
-//! to hardcode the (small, constant) per-sample overhead.
+//! to hardcode the (small, constant) per-sample overhead. It then makes
+//! the same comparison, 1 step against 2, on the shipped network
+//! (`PipelineConfig::default()`), whose multiplies are the ones a
+//! `PatternService` worker runs.
 //! `alloc_steady_state_batched.rs` makes the same claim for several
 //! lock-step lanes.
 //!
@@ -21,7 +24,8 @@
 use diffpattern::diffusion::{
     BatchScratch, Conditioning, NeuralDenoiser, NoiseSchedule, TrainedModel,
 };
-use diffpattern::nn::{with_inner_gemm_parallelism, UNet, UNetConfig};
+use diffpattern::nn::{UNet, UNetConfig};
+use diffpattern::PipelineConfig;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -62,9 +66,76 @@ fn counted<R>(f: impl FnOnce() -> R) -> (usize, R) {
     (ALLOCATIONS.load(Ordering::SeqCst), out)
 }
 
-fn model(steps: usize) -> TrainedModel {
+fn model(config: &UNetConfig, side: usize, steps: usize) -> TrainedModel {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let config = UNetConfig {
+    // Untrained weights: sampling cost and allocation behaviour are
+    // architecture-bound, not weight-bound.
+    let denoiser = NeuralDenoiser::new(UNet::new(config, &mut rng));
+    let schedule = NoiseSchedule::linear(steps, 0.01, 0.5).unwrap();
+    TrainedModel::new(denoiser, schedule, side).unwrap()
+}
+
+/// Allocation events of one full-chain sample (the sampler, its step list
+/// and the conditioning are built outside the count).
+fn draw(model: &TrainedModel, rng: &mut rand::rngs::StdRng, scratch: &mut BatchScratch) -> usize {
+    let sampler = model.sampler();
+    let full = sampler.strided_steps(1);
+    let none = Conditioning::none();
+    counted(|| {
+        sampler.sample_conditioned_batch_with(
+            model,
+            model.channels(),
+            model.side(),
+            &full,
+            &none,
+            std::slice::from_mut(rng),
+            scratch,
+        )
+    })
+    .0
+}
+
+/// Warms one scratch, then asserts that a chain of `long_steps` allocates
+/// exactly as often as a chain of `short_steps`.
+fn assert_no_per_step_allocations(
+    config: &UNetConfig,
+    side: usize,
+    short_steps: usize,
+    long_steps: usize,
+) {
+    let short = model(config, side, short_steps);
+    let long = model(config, side, long_steps);
+    let mut scratch = BatchScratch::new();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    // Warm-up: the first samples size the workspace pool and the p1
+    // buffer; the pool's first-fit reuse settles within two rounds.
+    for _ in 0..2 {
+        let _ = draw(&short, &mut rng, &mut scratch);
+        let _ = draw(&long, &mut rng, &mut scratch);
+    }
+
+    let short_allocs = draw(&short, &mut rng, &mut scratch);
+    let long_allocs = draw(&long, &mut rng, &mut scratch);
+
+    // Extra denoising steps, zero extra allocations: the whole loop runs
+    // out of the warm scratch. (The small constant is the per-sample
+    // cost: the state tensor and the returned vector.)
+    assert_eq!(
+        long_allocs, short_allocs,
+        "per-step allocations detected: {short_steps}-step chain allocated {short_allocs}, \
+         {long_steps}-step chain allocated {long_allocs}"
+    );
+    assert!(
+        short_allocs <= 4,
+        "per-sample allocation overhead unexpectedly large: {short_allocs}"
+    );
+}
+
+/// This file holds exactly one test so no sibling test thread can pollute
+/// the global allocation counter.
+#[test]
+fn steady_state_sampling_allocates_nothing_per_denoising_step() {
+    let small = UNetConfig {
         in_channels: 4,
         out_channels: 8,
         base_channels: 8,
@@ -75,65 +146,11 @@ fn model(steps: usize) -> TrainedModel {
         groups: 4,
         dropout: 0.0,
     };
-    // Untrained weights: sampling cost and allocation behaviour are
-    // architecture-bound, not weight-bound.
-    let denoiser = NeuralDenoiser::new(UNet::new(&config, &mut rng));
-    let schedule = NoiseSchedule::linear(steps, 0.01, 0.5).unwrap();
-    TrainedModel::new(denoiser, schedule, 8).unwrap()
-}
+    assert_no_per_step_allocations(&small, 8, 10, 60);
 
-/// This file holds exactly one test so no sibling test thread can pollute
-/// the global allocation counter.
-#[test]
-fn steady_state_sampling_allocates_nothing_per_denoising_step() {
-    let short = model(10);
-    let long = model(60);
-    let none = Conditioning::none();
-    let mut scratch = BatchScratch::new();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    // Allocation events of one full-chain sample (the sampler and its
-    // step list are built outside the count).
-    let mut draw = |model: &TrainedModel| {
-        let sampler = model.sampler();
-        let full = sampler.strided_steps(1);
-        counted(|| {
-            sampler.sample_conditioned_batch_with(
-                model,
-                4,
-                8,
-                &full,
-                &none,
-                std::slice::from_mut(&mut rng),
-                &mut scratch,
-            )
-        })
-        .0
-    };
-
-    // Inner GEMM threads would allocate on spawn; service workers disable
-    // them, so the measurement mirrors the worker configuration.
-    with_inner_gemm_parallelism(false, || {
-        // Warm-up: first samples size the workspace pool and the p1
-        // buffer.
-        for _ in 0..2 {
-            let _ = draw(&short);
-            let _ = draw(&long);
-        }
-
-        let short_allocs = draw(&short);
-        let long_allocs = draw(&long);
-
-        // 50 extra denoising steps, zero extra allocations: the whole
-        // loop runs out of the warm scratch. (The small constant is the
-        // per-sample cost: the state tensor and the returned vector.)
-        assert_eq!(
-            long_allocs, short_allocs,
-            "per-step allocations detected: 10-step chain allocated {short_allocs}, \
-             60-step chain allocated {long_allocs}"
-        );
-        assert!(
-            short_allocs <= 4,
-            "per-sample allocation overhead unexpectedly large: {short_allocs}"
-        );
-    });
+    // The shipped width: its GEMMs are large enough that any per-call
+    // thread or buffer would show as allocations per U-Net call. One
+    // extra step keeps the debug build fast.
+    let shipped = PipelineConfig::default();
+    assert_no_per_step_allocations(&shipped.unet_config(), shipped.fold_side(), 1, 2);
 }

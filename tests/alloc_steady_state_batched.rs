@@ -18,7 +18,7 @@
 use diffpattern::diffusion::{
     BatchScratch, Conditioning, NeuralDenoiser, NoiseSchedule, TrainedModel,
 };
-use diffpattern::nn::{with_inner_gemm_parallelism, UNet, UNetConfig};
+use diffpattern::nn::{UNet, UNetConfig};
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -109,29 +109,25 @@ fn steady_state_batched_sampling_allocates_nothing_per_denoising_step() {
         .0
     };
 
-    // Inner GEMM threads would allocate on spawn; service workers disable
-    // them, so the measurement mirrors the worker configuration.
-    with_inner_gemm_parallelism(false, || {
-        // Warm-up: size the workspace pool and the concatenated p1 buffer.
-        for round in 0..2u64 {
-            let _ = draw(&short, round);
-            let _ = draw(&long, round);
-        }
+    // Warm-up: size the workspace pool and the concatenated p1 buffer.
+    for round in 0..2u64 {
+        let _ = draw(&short, round);
+        let _ = draw(&long, round);
+    }
 
-        let short_allocs = draw(&short, 10);
-        let long_allocs = draw(&long, 11);
+    let short_allocs = draw(&short, 10);
+    let long_allocs = draw(&long, 11);
 
-        // 50 extra lock-step denoising rounds, zero extra allocations.
-        assert_eq!(
-            long_allocs, short_allocs,
-            "per-step allocations detected: 10-step batch allocated {short_allocs}, \
-             60-step batch allocated {long_allocs}"
-        );
-        // The constant is per chain, not per step: a few allocations per
-        // lane (state bits + tensor) plus the returned vector.
-        assert!(
-            short_allocs <= 4 * LANES as usize + 4,
-            "per-batch allocation overhead unexpectedly large: {short_allocs}"
-        );
-    });
+    // 50 extra lock-step denoising rounds, zero extra allocations.
+    assert_eq!(
+        long_allocs, short_allocs,
+        "per-step allocations detected: 10-step batch allocated {short_allocs}, \
+         60-step batch allocated {long_allocs}"
+    );
+    // The constant is per chain, not per step: a few allocations per
+    // lane (state bits + tensor) plus the returned vector.
+    assert!(
+        short_allocs <= 4 * LANES as usize + 4,
+        "per-batch allocation overhead unexpectedly large: {short_allocs}"
+    );
 }
