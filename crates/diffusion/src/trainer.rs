@@ -45,18 +45,24 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Mean total loss over the first `n` iterations.
+    /// Mean total loss over the first `n` iterations (at least one); NaN
+    /// for an empty report, as zero training iterations leave.
     pub fn head_mean(&self, n: usize) -> f64 {
-        let n = n.min(self.losses.len()).max(1);
-        self.losses[..n].iter().map(|l| l.total).sum::<f64>() / n as f64
+        let n = n.max(1).min(self.losses.len());
+        mean_total(&self.losses[..n])
     }
 
-    /// Mean total loss over the last `n` iterations.
+    /// Mean total loss over the last `n` iterations (at least one); NaN
+    /// for an empty report, as zero training iterations leave.
     pub fn tail_mean(&self, n: usize) -> f64 {
         let len = self.losses.len();
-        let n = n.min(len).max(1);
-        self.losses[len - n..].iter().map(|l| l.total).sum::<f64>() / n as f64
+        mean_total(&self.losses[len - n.max(1).min(len)..])
     }
+}
+
+/// Mean total loss, `0 / 0 = NaN` for no losses.
+fn mean_total(losses: &[LossReport]) -> f64 {
+    losses.iter().map(|l| l.total).sum::<f64>() / losses.len() as f64
 }
 
 /// Drives discrete-diffusion training of a [`NeuralDenoiser`]: per
@@ -235,6 +241,25 @@ mod tests {
             data.push(DeepSquishTensor::from_bits(1, side, bits).unwrap());
         }
         data
+    }
+
+    #[test]
+    fn report_means_clamp_n_and_are_nan_when_empty() {
+        let empty = TrainReport::default();
+        assert!(empty.head_mean(50).is_nan());
+        assert!(empty.tail_mean(50).is_nan());
+        let losses = [4.0, 2.0, 1.0].map(|total| LossReport {
+            total,
+            kl: 0.0,
+            ce: 0.0,
+        });
+        let report = TrainReport {
+            losses: losses.to_vec(),
+        };
+        assert_eq!(report.head_mean(2), 3.0);
+        assert_eq!(report.tail_mean(2), 1.5);
+        assert_eq!(report.head_mean(0), 4.0);
+        assert_eq!(report.tail_mean(9), 7.0 / 3.0);
     }
 
     #[test]

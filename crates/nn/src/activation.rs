@@ -65,10 +65,11 @@ impl Silu {
     ///
     /// # Panics
     ///
-    /// Panics when called before `forward`.
+    /// Panics with "backward before forward" unless a `forward` ran since
+    /// the last `backward` (this consumes the cache).
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cache.as_ref().expect("backward before forward");
-        silu_backward(x, grad_out)
+        let x = self.cache.take().expect("backward before forward");
+        silu_backward(&x, grad_out)
     }
 }
 
@@ -265,5 +266,14 @@ mod tests {
         assert_eq!(y, silu(&x));
         let g = layer.backward(&Tensor::full(&[2, 3], 1.0));
         assert_eq!(g.shape(), x.shape());
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn second_backward_after_one_forward_panics() {
+        let mut layer = Silu::new();
+        let _ = layer.forward(&Tensor::full(&[4], 0.5));
+        let _ = layer.backward(&Tensor::full(&[4], 1.0));
+        let _ = layer.backward(&Tensor::full(&[4], 1.0));
     }
 }

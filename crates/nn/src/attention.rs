@@ -49,41 +49,18 @@ impl SelfAttention2d {
         }
     }
 
-    /// Forward pass. The per-item products are packed GEMMs over the
-    /// borrowed `(c, L)` slices, the same kernels and accumulation order as
-    /// [`SelfAttention2d::infer`].
+    /// Forward pass: [`SelfAttention2d::infer`]'s arithmetic, keeping the
+    /// q, k, v projections and attention weights `backward` reads.
     ///
     /// # Panics
     ///
     /// Panics on non-4-D input or channel mismatch.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (n, c, h, w) = shape4(x);
-        let l = h * w;
-        let scale = 1.0 / (c as f32).sqrt();
-
         let normed = self.norm.forward(x);
         let qs = self.q.forward(&normed);
         let ks = self.k.forward(&normed);
         let vs = self.v.forward(&normed);
-
-        let mut attended = Tensor::zeros(&[n, c, h, w]);
-        let mut attn = Tensor::zeros(&[n, l, l]);
-        let mut panel_qt = vec![0.0f32; packed_len(l, c)];
-        let mut panel_v = vec![0.0f32; packed_len(c, l)];
-        let mut attn_t = vec![0.0f32; l * l];
-        for ni in 0..n {
-            let (i0, i1) = (ni * c * l, (ni + 1) * c * l);
-            let a = &mut attn.data_mut()[ni * l * l..(ni + 1) * l * l];
-            // scores (L, L) = q^T k * scale, softmaxed in place
-            pack_a_transposed_into(&qs.data()[i0..i1], l, c, &mut panel_qt);
-            gemm_packed(&panel_qt, &ks.data()[i0..i1], a, l, c, l, Epilogue::Zero);
-            scale_and_softmax_rows_in_place(a, l, scale);
-            // out (c, L) = v attn^T
-            transpose_into(a, l, l, &mut attn_t);
-            pack_a_into(&vs.data()[i0..i1], c, l, &mut panel_v);
-            let out = &mut attended.data_mut()[i0..i1];
-            gemm_packed(&panel_v, &attn_t, out, c, l, l, Epilogue::Zero);
-        }
+        let (attended, attn) = attend(&qs, &ks, &vs, &mut Workspace::new());
         self.cache = Some(Cache { qs, ks, vs, attn });
 
         let projected = self.proj.forward(&attended);
@@ -102,66 +79,19 @@ impl SelfAttention2d {
 
     /// Inference forward pass from a shared reference: identical
     /// arithmetic to [`SelfAttention2d::forward`] (bit-equal outputs)
-    /// with no caching; all scratch memory comes from `ws`. Per-item
-    /// `(c, L)` matrices are borrowed directly from the NCHW buffers
-    /// (each batch item's channel block *is* that matrix), so the only
-    /// data movement is the two transposes the math requires.
+    /// with no caching; all scratch memory comes from `ws`.
     ///
     /// # Panics
     ///
     /// Same conditions as [`SelfAttention2d::forward`].
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, c, h, w) = shape4(x);
-        let l = h * w;
-        let scale = 1.0 / (c as f32).sqrt();
-
         let normed = self.norm.infer(x, ws);
         let qs = self.q.infer(&normed, ws);
         let ks = self.k.infer(&normed, ws);
         let vs = self.v.infer(&normed, ws);
         ws.recycle(normed);
-
-        let mut attended = ws.take_uninit(&[n, c, h, w]);
-        let mut qt = ws.take_uninit(&[l, c]);
-        let mut scores = ws.take_uninit(&[l, l]);
-        let mut attn_t = ws.take_uninit(&[l, l]);
-        let mut panel_q = ws.take_uninit(&[packed_len(l, c)]);
-        let mut panel_v = ws.take_uninit(&[packed_len(c, l)]);
-        for ni in 0..n {
-            let qm = &qs.data()[ni * c * l..(ni + 1) * c * l];
-            let km = &ks.data()[ni * c * l..(ni + 1) * c * l];
-            let vm = &vs.data()[ni * c * l..(ni + 1) * c * l];
-            // scores (L, L) = q^T k * scale
-            transpose_into(qm, c, l, qt.data_mut());
-            pack_a_into(qt.data(), l, c, panel_q.data_mut());
-            gemm_packed(
-                panel_q.data(),
-                km,
-                scores.data_mut(),
-                l,
-                c,
-                l,
-                Epilogue::Zero,
-            );
-            scale_and_softmax_rows_in_place(scores.data_mut(), l, scale);
-            // out (c, L) = v attn^T, straight into the attended slice.
-            transpose_into(scores.data(), l, l, attn_t.data_mut());
-            pack_a_into(vm, c, l, panel_v.data_mut());
-            gemm_packed(
-                panel_v.data(),
-                attn_t.data(),
-                &mut attended.data_mut()[ni * c * l..(ni + 1) * c * l],
-                c,
-                l,
-                l,
-                Epilogue::Zero,
-            );
-        }
-        ws.recycle(qt);
-        ws.recycle(scores);
-        ws.recycle(attn_t);
-        ws.recycle(panel_q);
-        ws.recycle(panel_v);
+        let (attended, attn) = attend(&qs, &ks, &vs, ws);
+        ws.recycle(attn);
         ws.recycle(qs);
         ws.recycle(ks);
         ws.recycle(vs);
@@ -185,7 +115,8 @@ impl SelfAttention2d {
     ///
     /// # Panics
     ///
-    /// Panics when called before `forward`.
+    /// Panics with "backward before forward" unless a `forward` ran since
+    /// the last `backward` (this consumes the cache).
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let Cache { qs, ks, vs, attn } = self.cache.take().expect("backward before forward");
         let (n, c, h, w) = shape4(&qs);
@@ -252,6 +183,46 @@ impl SelfAttention2d {
         params.extend(self.proj.params());
         params
     }
+}
+
+/// The attention both forward passes run. Per batch item, with the
+/// item's `(c, L)` q, k and v matrices borrowed straight from the NCHW
+/// buffers (each item's channel block *is* that matrix), it computes the
+/// weights `softmax(qᵀk / √c)` `(L, L)` and `v · weightsᵀ` `(c, L)` with
+/// packed GEMMs. Returns `(attended, weights)`, shaped `(n, c, h, w)` and
+/// `(n, L, L)`, both drawn from `ws`.
+fn attend(qs: &Tensor, ks: &Tensor, vs: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
+    let (n, c, h, w) = shape4(qs);
+    let l = h * w;
+    let scale = 1.0 / (c as f32).sqrt();
+    let mut attended = ws.take_uninit(qs.shape());
+    let mut attn = ws.take_uninit(&[n, l, l]);
+    let mut panel_qt = ws.take_uninit(&[packed_len(l, c)]);
+    let mut panel_v = ws.take_uninit(&[packed_len(c, l)]);
+    let mut attn_t = ws.take_uninit(&[l, l]);
+    for ni in 0..n {
+        let (i0, i1) = (ni * c * l, (ni + 1) * c * l);
+        let a = &mut attn.data_mut()[ni * l * l..(ni + 1) * l * l];
+        pack_a_transposed_into(&qs.data()[i0..i1], l, c, panel_qt.data_mut());
+        gemm_packed(
+            panel_qt.data(),
+            &ks.data()[i0..i1],
+            a,
+            l,
+            c,
+            l,
+            Epilogue::Zero,
+        );
+        scale_and_softmax_rows_in_place(a, l, scale);
+        transpose_into(a, l, l, attn_t.data_mut());
+        pack_a_into(&vs.data()[i0..i1], c, l, panel_v.data_mut());
+        let out = &mut attended.data_mut()[i0..i1];
+        gemm_packed(panel_v.data(), attn_t.data(), out, c, l, l, Epilogue::Zero);
+    }
+    ws.recycle(panel_qt);
+    ws.recycle(panel_v);
+    ws.recycle(attn_t);
+    (attended, attn)
 }
 
 fn shape4(t: &Tensor) -> (usize, usize, usize, usize) {
@@ -442,5 +413,16 @@ mod tests {
         let mut attn = SelfAttention2d::new(4, 2, &mut rng);
         // norm (2) + q/k/v/proj (2 each) = 10.
         assert_eq!(attn.params_mut().len(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn second_backward_after_one_forward_panics() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut attn = SelfAttention2d::new(4, 2, &mut rng);
+        let y = attn.forward(&Tensor::randn(&[1, 4, 3, 3], 1.0, &mut rng));
+        let g = Tensor::full(y.shape(), 1.0);
+        let _ = attn.backward(&g);
+        let _ = attn.backward(&g);
     }
 }

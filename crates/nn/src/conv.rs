@@ -276,10 +276,11 @@ impl Conv2d {
     ///
     /// # Panics
     ///
-    /// Panics when called before `forward` or on shape mismatch.
+    /// Panics with "backward before forward" unless a `forward` ran since
+    /// the last `backward` (this consumes the cache), or on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self.cache_input.as_ref().expect("backward before forward");
-        let (n, ic, h, w) = shape4(x);
+        let x = self.cache_input.take().expect("backward before forward");
+        let (n, ic, h, w) = shape4(&x);
         let (oh, ow) = (self.out_size(h), self.out_size(w));
         let (oc, k, s, p) = (
             self.out_channels(),
@@ -870,5 +871,16 @@ mod tests {
         let _ = conv.backward(&Tensor::full(y.shape(), 1.0));
         // 2 batch items x 9 positions.
         assert!((conv.bias.grad.data()[0] - 18.0).abs() < 1e-5);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn second_backward_after_one_forward_panics() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
+        let y = conv.forward(&Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng));
+        let g = Tensor::full(y.shape(), 1.0);
+        let _ = conv.backward(&g);
+        let _ = conv.backward(&g);
     }
 }

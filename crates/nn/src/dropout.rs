@@ -63,10 +63,11 @@ impl Dropout {
         out
     }
 
-    /// Backward pass: applies the cached mask (identity in eval mode).
+    /// Backward pass: applies the cached mask, consuming it (identity in
+    /// eval mode).
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            Some(mask) => elementwise_mul(grad_out, mask),
+        match self.mask.take() {
+            Some(mask) => elementwise_mul(grad_out, &mask),
             None => grad_out.clone(),
         }
     }

@@ -27,12 +27,25 @@
 //!
 //! # Design: explicit caches instead of autograd
 //!
-//! Layers follow the classic `forward(&mut self, ..) -> Tensor` /
-//! `backward(&mut self, grad) -> Tensor` protocol: the forward pass caches
-//! whatever the backward pass needs, parameter gradients accumulate into
-//! [`Param::grad`], and [`Adam::step`] consumes them. This keeps the whole
-//! substrate dependency-free and easy to audit against the DDPM reference
-//! implementation.
+//! Each layer has one forward kernel, `infer(&self, x, ws)`, which caches
+//! nothing and draws its scratch from a [`Workspace`]. `forward(&mut
+//! self, x)` is that kernel plus the cache `backward(&mut self, grad)`
+//! consumes: `backward` takes the cache, so a second `backward` without a
+//! fresh `forward` panics ("backward before forward") and a network after
+//! its last `backward` holds no activations. Parameter gradients
+//! accumulate into [`Param::grad`], and [`Adam::step`] consumes them. This
+//! keeps the whole substrate dependency-free and easy to audit against the
+//! DDPM reference implementation.
+//!
+//! The U-Net's topology is written down once: [`UNet::new`] builds its
+//! body as one forward-ordered list of single-layer blocks (residual
+//! block, attention, convolution, upsampling), each tagged with whether
+//! it keeps its output as a skip connection or concatenates one. Training
+//! `forward`, `infer`, `backward` (the list reversed), `params` and
+//! `prepack` all walk that list, so the list order is also the parameter
+//! order [`save_params`] writes. Training and inference stay two walks
+//! because the fused inference kernels never materialise the
+//! pre-activations `backward` reads.
 //!
 //! # Example
 //!

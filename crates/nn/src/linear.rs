@@ -141,13 +141,10 @@ impl Linear {
     ///
     /// # Panics
     ///
-    /// Panics when called before `forward` or on shape mismatch.
+    /// Panics with "backward before forward" unless a `forward` ran since
+    /// the last `backward` (this consumes the cache), or on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cache_input
-            .as_ref()
-            .expect("backward before forward")
-            .clone();
+        let x = self.cache_input.take().expect("backward before forward");
         assert_eq!(grad_out.shape()[0], x.shape()[0], "batch mismatch");
         assert_eq!(grad_out.shape()[1], self.out_features(), "feature mismatch");
 
@@ -272,5 +269,15 @@ mod tests {
         let _ = layer.forward(&x);
         let _ = layer.backward(&Tensor::full(&[1, 2], 1.0));
         assert_eq!(layer.bias.grad, first.scale(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn second_backward_after_one_forward_panics() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut layer = Linear::new(2, 3, &mut rng);
+        let _ = layer.forward(&Tensor::randn(&[1, 2], 1.0, &mut rng));
+        let _ = layer.backward(&Tensor::full(&[1, 3], 1.0));
+        let _ = layer.backward(&Tensor::full(&[1, 3], 1.0));
     }
 }

@@ -14,13 +14,8 @@ pub struct GroupNorm {
     pub beta: Param,
     groups: usize,
     eps: f32,
-    cache: Option<Cache>,
-}
-
-#[derive(Debug, Clone)]
-struct Cache {
-    normalized: Tensor,
-    inv_std: Vec<f32>, // per (n, group)
+    /// The input of the last `forward`, until `backward` consumes it.
+    cache: Option<Tensor>,
 }
 
 impl GroupNorm {
@@ -53,52 +48,26 @@ impl GroupNorm {
         self.eps
     }
 
-    /// Forward pass (training mode: caches what `backward` needs).
+    /// Forward pass: [`GroupNorm::infer`], caching the input `backward`
+    /// reads.
     ///
     /// # Panics
     ///
     /// Panics on non-4-D input or channel mismatch.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let (out, normalized, inv_std) = self.compute(x);
-        self.cache = Some(Cache {
-            normalized,
-            inv_std,
-        });
+        let out = self.infer(x, &mut Workspace::new());
+        self.cache = Some(x.clone());
         out
     }
 
-    /// Inference forward pass from a shared reference: identical
-    /// arithmetic to [`GroupNorm::forward`] (bit-equal outputs, same
-    /// accumulation order) with no caching; the output tensor comes from
-    /// `ws`. Fused: the intermediate normalized tensor is never
-    /// materialised.
+    /// Inference forward pass from a shared reference: no caching; the
+    /// output tensor comes from `ws`.
     ///
     /// # Panics
     ///
     /// Same conditions as [`GroupNorm::forward`].
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, c, h, w) = self.check_input(x);
-        let cg = c / self.groups;
-        let hw = h * w;
-        let group_len = (cg * hw) as f32;
-        let mut out = ws.take_uninit(x.shape());
-        for ni in 0..n {
-            for g in 0..self.groups {
-                let start = (ni * c + g * cg) * hw;
-                let xs = &x.data()[start..start + cg * hw];
-                let (mean, inv_std) = group_stats(xs, group_len, self.eps);
-                let os = &mut out.data_mut()[start..start + cg * hw];
-                for (ci, (orow, xrow)) in os.chunks_mut(hw).zip(xs.chunks(hw)).enumerate() {
-                    let gamma = self.gamma.value.data()[g * cg + ci];
-                    let beta = self.beta.value.data()[g * cg + ci];
-                    for (o, &v) in orow.iter_mut().zip(xrow) {
-                        let xhat = (v - mean) * inv_std;
-                        *o = gamma * xhat + beta;
-                    }
-                }
-            }
-        }
-        out
+        self.normalize(x, ws, |v| v)
     }
 
     /// GroupNorm immediately followed by SiLU, in one pass: bit-identical
@@ -112,28 +81,7 @@ impl GroupNorm {
     ///
     /// Same conditions as [`GroupNorm::forward`].
     pub fn infer_silu(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, c, h, w) = self.check_input(x);
-        let cg = c / self.groups;
-        let hw = h * w;
-        let group_len = (cg * hw) as f32;
-        let mut out = ws.take_uninit(x.shape());
-        for ni in 0..n {
-            for g in 0..self.groups {
-                let start = (ni * c + g * cg) * hw;
-                let xs = &x.data()[start..start + cg * hw];
-                let (mean, inv_std) = group_stats(xs, group_len, self.eps);
-                let os = &mut out.data_mut()[start..start + cg * hw];
-                for (ci, (orow, xrow)) in os.chunks_mut(hw).zip(xs.chunks(hw)).enumerate() {
-                    let gamma = self.gamma.value.data()[g * cg + ci];
-                    let beta = self.beta.value.data()[g * cg + ci];
-                    for (o, &v) in orow.iter_mut().zip(xrow) {
-                        let xhat = (v - mean) * inv_std;
-                        *o = silu_val(gamma * xhat + beta);
-                    }
-                }
-            }
-        }
-        out
+        self.normalize(x, ws, silu_val)
     }
 
     fn check_input(&self, x: &Tensor) -> (usize, usize, usize, usize) {
@@ -143,104 +91,83 @@ impl GroupNorm {
         (n, c, h, w)
     }
 
-    /// Shared normalisation kernel: returns `(out, normalized, inv_std)`.
-    fn compute(&self, x: &Tensor) -> (Tensor, Tensor, Vec<f32>) {
+    /// The normalisation loop every forward path runs: `finish(gamma *
+    /// x̂ + beta)` per element, with `x̂` as [`normalized`] computes it.
+    fn normalize(&self, x: &Tensor, ws: &mut Workspace, finish: impl Fn(f32) -> f32) -> Tensor {
         let (n, c, h, w) = self.check_input(x);
-        let cg = c / self.groups;
-        let hw = h * w;
-        let group_len = (cg * hw) as f32;
-
-        let mut normalized = Tensor::zeros(x.shape());
-        let mut out = Tensor::zeros(x.shape());
-        let mut inv_stds = vec![0.0f32; n * self.groups];
-
+        let (cg, hw) = (c / self.groups, h * w);
+        let mut out = ws.take_uninit(x.shape());
         for ni in 0..n {
             for g in 0..self.groups {
-                let start = (ni * c + g * cg) * hw;
-                let xs = &x.data()[start..start + cg * hw];
-                let (mean, inv_std) = group_stats(xs, group_len, self.eps);
-                inv_stds[ni * self.groups + g] = inv_std;
-                for ci in 0..cg {
+                let span = (ni * c + g * cg) * hw..(ni * c + (g + 1) * cg) * hw;
+                let xs = &x.data()[span.clone()];
+                let (mean, inv_std) = group_stats(xs, xs.len() as f32, self.eps);
+                let os = &mut out.data_mut()[span];
+                for (ci, (orow, xrow)) in os.chunks_mut(hw).zip(xs.chunks(hw)).enumerate() {
                     let gamma = self.gamma.value.data()[g * cg + ci];
                     let beta = self.beta.value.data()[g * cg + ci];
-                    let span = start + ci * hw..start + (ci + 1) * hw;
-                    for ((nv, ov), &v) in normalized.data_mut()[span.clone()]
-                        .iter_mut()
-                        .zip(&mut out.data_mut()[span])
-                        .zip(&xs[ci * hw..(ci + 1) * hw])
-                    {
-                        let xhat = (v - mean) * inv_std;
-                        *nv = xhat;
-                        *ov = gamma * xhat + beta;
+                    for (o, &v) in orow.iter_mut().zip(xrow) {
+                        *o = finish(gamma * normalized(v, mean, inv_std) + beta);
                     }
                 }
             }
         }
-
-        (out, normalized, inv_stds)
+        out
     }
 
     /// Backward pass: accumulates `gamma`/`beta` gradients, returns grad wrt
-    /// input.
+    /// input. `x̂` is recomputed from the cached input with the same
+    /// statistics and expression as the forward pass, so it is bit-equal
+    /// to the values the forward pass produced.
     ///
     /// # Panics
     ///
-    /// Panics when called before `forward` or on shape mismatch.
+    /// Panics with "backward before forward" unless a `forward` ran since
+    /// the last `backward` (this consumes the cache), or on shape mismatch.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("backward before forward");
-        let xhat = cache.normalized.data();
-        assert_eq!(
-            grad_out.shape(),
-            cache.normalized.shape(),
-            "grad_out shape mismatch"
-        );
-        let (n, c) = (grad_out.shape()[0], grad_out.shape()[1]);
-        let hw = grad_out.len() / (n * c);
-        let cg = c / self.groups;
+        let x = self.cache.take().expect("backward before forward");
+        assert_eq!(grad_out.shape(), x.shape(), "grad_out shape mismatch");
+        let (n, c, h, w) = self.check_input(&x);
+        let (cg, hw) = (c / self.groups, h * w);
         let group_len = (cg * hw) as f32;
         let go = grad_out.data();
-
-        // Per-channel affine gradients, summed over (n, h, w).
-        for ci in 0..c {
-            let mut dg = 0.0f32;
-            let mut db = 0.0f32;
-            for ni in 0..n {
-                let (p0, p1) = ((ni * c + ci) * hw, (ni * c + ci + 1) * hw);
-                for (&g, &xh) in go[p0..p1].iter().zip(&xhat[p0..p1]) {
-                    dg += g * xh;
-                    db += g;
-                }
-            }
-            self.gamma.grad.data_mut()[ci] += dg;
-            self.beta.grad.data_mut()[ci] += db;
-        }
-
-        // Input gradient per (n, group):
-        // dxhat = grad_out * gamma
-        // dx = inv_std/Ng * (Ng*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat))
         let gamma = self.gamma.value.data();
+
+        // Per (n, group), with dxhat = grad_out * gamma:
+        // dx = inv_std/Ng * (Ng*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat)).
+        // The affine gradients sum over (n, h, w) per channel, in that order.
+        let mut dgamma = vec![0.0f32; c];
+        let mut dbeta = vec![0.0f32; c];
+        let mut xhat = vec![0.0f32; cg * hw];
         let mut grad_in = Tensor::zeros(grad_out.shape());
         for ni in 0..n {
             for g in 0..self.groups {
-                let inv_std = cache.inv_std[ni * self.groups + g];
-                let (s0, s1) = ((ni * c + g * cg) * hw, (ni * c + (g + 1) * cg) * hw);
-                let (gos, xhs) = (&go[s0..s1], &xhat[s0..s1]);
+                let span = (ni * c + g * cg) * hw..(ni * c + (g + 1) * cg) * hw;
+                let xs = &x.data()[span.clone()];
+                let (mean, inv_std) = group_stats(xs, group_len, self.eps);
+                for (xh, &v) in xhat.iter_mut().zip(xs) {
+                    *xh = normalized(v, mean, inv_std);
+                }
+                let gos = &go[span.clone()];
                 let gammas = &gamma[g * cg..(g + 1) * cg];
                 let mut sum_dxhat = 0.0f32;
                 let mut sum_dxhat_xhat = 0.0f32;
-                for ((gor, xhr), &gm) in gos.chunks(hw).zip(xhs.chunks(hw)).zip(gammas) {
+                for (ci, (gor, xhr)) in gos.chunks(hw).zip(xhat.chunks(hw)).enumerate() {
+                    let (dg, db) = (&mut dgamma[g * cg + ci], &mut dbeta[g * cg + ci]);
                     for (&gv, &xh) in gor.iter().zip(xhr) {
-                        let dxhat = gv * gm;
+                        *dg += gv * xh;
+                        *db += gv;
+                        let dxhat = gv * gammas[ci];
                         sum_dxhat += dxhat;
                         sum_dxhat_xhat += dxhat * xh;
                     }
                 }
                 let scale = inv_std / group_len;
-                let dst = &mut grad_in.data_mut()[s0..s1];
+                let dst = &mut grad_in.data_mut()[span];
                 for (((dr, gor), xhr), &gm) in dst
                     .chunks_mut(hw)
                     .zip(gos.chunks(hw))
-                    .zip(xhs.chunks(hw))
+                    .zip(xhat.chunks(hw))
                     .zip(gammas)
                 {
                     for ((d, &gv), &xh) in dr.iter_mut().zip(gor).zip(xhr) {
@@ -250,6 +177,8 @@ impl GroupNorm {
                 }
             }
         }
+        self.gamma.grad.add_assign(&Tensor::from_vec(&[c], dgamma));
+        self.beta.grad.add_assign(&Tensor::from_vec(&[c], dbeta));
         grad_in
     }
 
@@ -263,6 +192,14 @@ impl GroupNorm {
     pub fn params(&self) -> Vec<&Param> {
         vec![&self.gamma, &self.beta]
     }
+}
+
+/// `x̂ = (v - mean) * inv_std`, the expression the forward loop and
+/// `backward` share, so the `x̂` `backward` recomputes is bit-equal to the
+/// forward pass's.
+#[inline]
+fn normalized(v: f32, mean: f32, inv_std: f32) -> f32 {
+    (v - mean) * inv_std
 }
 
 /// Mean and inverse standard deviation of one `(batch, group)` slice,
@@ -354,10 +291,41 @@ mod tests {
         }
     }
 
+    /// What the forward pass used to cache: `x̂` and the per `(n, group)`
+    /// inverse standard deviations, rebuilt from the cached input.
+    struct Cache {
+        normalized: Tensor,
+        inv_std: Vec<f32>,
+    }
+
+    fn cached_normalization(norm: &GroupNorm) -> Cache {
+        let x = norm.cache.as_ref().expect("forward first");
+        let (n, c, h, w) = norm.check_input(x);
+        let group = c / norm.groups * h * w;
+        let mut normalized = Tensor::zeros(x.shape());
+        let mut inv_std = Vec::new();
+        for (xs, out) in x
+            .data()
+            .chunks(group)
+            .zip(normalized.data_mut().chunks_mut(group))
+        {
+            let (mean, is) = group_stats(xs, group as f32, norm.eps);
+            inv_std.push(is);
+            for (o, &v) in out.iter_mut().zip(xs) {
+                *o = (v - mean) * is;
+            }
+        }
+        assert_eq!(inv_std.len(), n * norm.groups);
+        Cache {
+            normalized,
+            inv_std,
+        }
+    }
+
     /// The `at4`-indexed backward this layer used to run, kept as the
     /// bit-exact reference.
     fn reference_backward(norm: &mut GroupNorm, grad_out: &Tensor) -> Tensor {
-        let cache = norm.cache.as_ref().expect("forward first");
+        let cache = cached_normalization(norm);
         let shape = cache.normalized.shape();
         let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
         let cg = c / norm.groups;
@@ -498,5 +466,16 @@ mod tests {
     #[should_panic(expected = "channels must divide")]
     fn bad_group_count_panics() {
         let _ = GroupNorm::new(3, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn second_backward_after_one_forward_panics() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut norm = GroupNorm::new(2, 4);
+        let y = norm.forward(&Tensor::randn(&[1, 4, 3, 3], 1.0, &mut rng));
+        let g = Tensor::full(y.shape(), 1.0);
+        let _ = norm.backward(&g);
+        let _ = norm.backward(&g);
     }
 }

@@ -4,6 +4,7 @@ use crate::embedding::{sinusoidal_embedding, sinusoidal_embedding_ws};
 use crate::tensor::{cat_channels_into, cat_channels_shape};
 use crate::upsample::{upsample_nearest2, upsample_nearest2_backward, upsample_nearest2_ws};
 use crate::{Conv2d, GroupNorm, Linear, Param, SelfAttention2d, Tensor, Workspace};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Configuration of the DDPM-style U-Net backbone (paper §IV-A).
@@ -68,36 +69,26 @@ struct ResBlock {
     dropout: Dropout,
     conv2: Conv2d,
     skip: Option<Conv2d>,
-    cache_hw: Option<(usize, usize)>,
 }
 
 impl ResBlock {
-    fn new(
-        in_c: usize,
-        out_c: usize,
-        time_dim: usize,
-        groups: usize,
-        dropout: f32,
-        rng: &mut impl Rng,
-    ) -> Self {
+    fn new(in_c: usize, out_c: usize, config: &UNetConfig, rng: &mut impl Rng) -> Self {
+        let groups = config.groups;
         ResBlock {
             norm1: GroupNorm::new(groups.min(in_c), in_c),
             silu1: Silu::new(),
             conv1: Conv2d::new(in_c, out_c, 3, 1, 1, rng),
             silu_t: Silu::new(),
-            temb_proj: Linear::new(time_dim, out_c, rng),
+            temb_proj: Linear::new(config.time_dim, out_c, rng),
             norm2: GroupNorm::new(groups.min(out_c), out_c),
             silu2: Silu::new(),
-            dropout: Dropout::new(dropout),
+            dropout: Dropout::new(config.dropout),
             conv2: Conv2d::new(out_c, out_c, 3, 1, 1, rng),
             skip: (in_c != out_c).then(|| Conv2d::new_1x1(in_c, out_c, rng)),
-            cache_hw: None,
         }
     }
 
-    fn forward(&mut self, x: &Tensor, temb: &Tensor, rng: &mut rand::rngs::StdRng) -> Tensor {
-        let (h, w) = (x.shape()[2], x.shape()[3]);
-        self.cache_hw = Some((h, w));
+    fn forward(&mut self, x: &Tensor, temb: &Tensor, rng: &mut StdRng) -> Tensor {
         let mut out = self
             .conv1
             .forward(&self.silu1.forward(&self.norm1.forward(x)));
@@ -156,7 +147,6 @@ impl ResBlock {
 
     /// Returns `(grad_x, grad_temb)`.
     fn backward(&mut self, grad_y: &Tensor) -> (Tensor, Tensor) {
-        let (h, w) = self.cache_hw.expect("backward before forward");
         // Skip path.
         let grad_x_skip = match &mut self.skip {
             Some(proj) => proj.backward(grad_y),
@@ -168,12 +158,12 @@ impl ResBlock {
         let g = self.silu2.backward(&g);
         let grad_mid = self.norm2.backward(&g);
         // Time branch: grad is the HW-sum per (n, c).
-        let (n, c) = (grad_mid.shape()[0], grad_mid.shape()[1]);
-        let mut grad_t = Tensor::zeros(&[n, c]);
+        let shape = grad_mid.shape();
+        let mut grad_t = Tensor::zeros(&shape[..2]);
         for (t, plane) in grad_t
             .data_mut()
             .iter_mut()
-            .zip(grad_mid.data().chunks(h * w))
+            .zip(grad_mid.data().chunks(shape[2] * shape[3]))
         {
             let mut s = 0.0;
             for &v in plane {
@@ -229,20 +219,100 @@ fn add_time_bias(out: &mut Tensor, t: &Tensor) {
     }
 }
 
-/// One encoder level: residual (+ optional attention) blocks, then an
-/// optional stride-2 downsampling convolution.
+/// One single-layer block of the U-Net body.
 #[derive(Debug, Clone)]
-struct DownStage {
-    blocks: Vec<(ResBlock, Option<SelfAttention2d>)>,
-    down: Option<Conv2d>,
+enum Layer {
+    Res(Box<ResBlock>),
+    Attn(Box<SelfAttention2d>),
+    /// A 3x3 convolution: the stem, or a stride-2 downsampling.
+    Conv(Conv2d),
+    /// Nearest-neighbour 2x upsampling, then a 3x3 convolution.
+    Up(Conv2d),
 }
 
-/// One decoder level: residual (+ optional attention) blocks consuming skip
-/// connections, then an optional upsampling convolution.
-#[derive(Debug, Clone)]
-struct UpStage {
-    blocks: Vec<(ResBlock, Option<SelfAttention2d>)>,
-    up: Option<Conv2d>,
+impl Layer {
+    fn res(in_c: usize, out_c: usize, config: &UNetConfig, rng: &mut impl Rng) -> Self {
+        Layer::Res(Box::new(ResBlock::new(in_c, out_c, config, rng)))
+    }
+
+    fn attn(ch: usize, config: &UNetConfig, rng: &mut impl Rng) -> Self {
+        let groups = config.groups.min(ch);
+        Layer::Attn(Box::new(SelfAttention2d::new(ch, groups, rng)))
+    }
+
+    fn forward(&mut self, x: &Tensor, temb: &Tensor, rng: &mut StdRng) -> Tensor {
+        match self {
+            Layer::Res(res) => res.forward(x, temb, rng),
+            Layer::Attn(attn) => attn.forward(x),
+            Layer::Conv(conv) => conv.forward(x),
+            Layer::Up(conv) => conv.forward(&upsample_nearest2(x)),
+        }
+    }
+
+    /// `stemb` is the SiLU-activated time embedding [`ResBlock::infer`]
+    /// takes.
+    fn infer(&self, x: &Tensor, stemb: &Tensor, ws: &mut Workspace) -> Tensor {
+        match self {
+            Layer::Res(res) => res.infer(x, stemb, ws),
+            Layer::Attn(attn) => attn.infer(x, ws),
+            Layer::Conv(conv) => conv.infer(x, ws),
+            Layer::Up(conv) => {
+                let u = upsample_nearest2_ws(x, ws);
+                let out = conv.infer(&u, ws);
+                ws.recycle(u);
+                out
+            }
+        }
+    }
+
+    /// Returns the input gradient and, for a residual block, the
+    /// time-embedding gradient.
+    fn backward(&mut self, grad: &Tensor) -> (Tensor, Option<Tensor>) {
+        match self {
+            Layer::Res(res) => {
+                let (gx, gt) = res.backward(grad);
+                (gx, Some(gt))
+            }
+            Layer::Attn(attn) => (attn.backward(grad), None),
+            Layer::Conv(conv) => (conv.backward(grad), None),
+            Layer::Up(conv) => (upsample_nearest2_backward(&conv.backward(grad)), None),
+        }
+    }
+
+    fn prepack(&mut self) {
+        match self {
+            Layer::Res(res) => res.prepack(),
+            Layer::Attn(attn) => attn.prepack(),
+            Layer::Conv(conv) | Layer::Up(conv) => conv.prepack(),
+        }
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        match self {
+            Layer::Res(res) => res.params_mut(),
+            Layer::Attn(attn) => attn.params_mut(),
+            Layer::Conv(conv) | Layer::Up(conv) => conv.params_mut(),
+        }
+    }
+
+    fn params(&self) -> Vec<&Param> {
+        match self {
+            Layer::Res(res) => res.params(),
+            Layer::Attn(attn) => attn.params(),
+            Layer::Conv(conv) | Layer::Up(conv) => conv.params(),
+        }
+    }
+}
+
+/// What a body block does with the skip connections.
+#[derive(Debug, Clone, Copy)]
+enum Skip {
+    None,
+    /// Keeps its output as a skip connection (encoder).
+    Keep,
+    /// Concatenates the latest kept skip, of this many channels, onto its
+    /// input (decoder).
+    Cat(usize),
 }
 
 /// The full U-Net: time MLP, encoder, attention-equipped bottleneck,
@@ -253,17 +323,12 @@ pub struct UNet {
     time_lin1: Linear,
     time_silu: Silu,
     time_lin2: Linear,
-    stem: Conv2d,
-    down: Vec<DownStage>,
-    mid1: ResBlock,
-    mid_attn: SelfAttention2d,
-    mid2: ResBlock,
-    up: Vec<UpStage>,
+    /// The body, stem to last decoder block, in forward order.
+    blocks: Vec<(Layer, Skip)>,
     head_norm: GroupNorm,
     head_silu: Silu,
     head_conv: Conv2d,
-    cache_skip_channels: Vec<usize>,
-    dropout_rng: rand::rngs::StdRng,
+    dropout_rng: StdRng,
 }
 
 impl UNet {
@@ -283,90 +348,60 @@ impl UNet {
 
         let time_lin1 = Linear::new(config.time_dim, config.time_dim, rng);
         let time_lin2 = Linear::new(config.time_dim, config.time_dim, rng);
+
+        // The body is built, so initialised and listed by `params`, in
+        // forward order; `save_params` writes that order.
         let stem = Conv2d::new(config.in_channels, base, 3, 1, 1, rng);
-
-        let mut chs: Vec<usize> = vec![base];
+        let mut blocks = vec![(Layer::Conv(stem), Skip::Keep)];
+        let mut kept = vec![base];
         let mut ch = base;
-        let mut down = Vec::with_capacity(levels);
         for (level, &mult) in config.channel_mults.iter().enumerate() {
-            let mut blocks = Vec::with_capacity(config.num_res_blocks);
             for _ in 0..config.num_res_blocks {
-                let out_c = base * mult;
-                let res = ResBlock::new(
-                    ch,
-                    out_c,
-                    config.time_dim,
-                    config.groups,
-                    config.dropout,
-                    rng,
-                );
-                ch = out_c;
-                let attn = config
-                    .attn_resolutions
-                    .contains(&level)
-                    .then(|| SelfAttention2d::new(ch, config.groups.min(ch), rng));
-                blocks.push((res, attn));
-                chs.push(ch);
+                blocks.push((Layer::res(ch, base * mult, config, rng), Skip::None));
+                ch = base * mult;
+                if config.attn_resolutions.contains(&level) {
+                    blocks.push((Layer::attn(ch, config, rng), Skip::None));
+                }
+                blocks.last_mut().expect("just pushed").1 = Skip::Keep;
+                kept.push(ch);
             }
-            let is_last = level == levels - 1;
-            let down_conv = (!is_last).then(|| {
-                chs.push(ch);
-                Conv2d::new(ch, ch, 3, 2, 1, rng)
-            });
-            down.push(DownStage {
-                blocks,
-                down: down_conv,
-            });
+            if level + 1 < levels {
+                let down = Conv2d::new(ch, ch, 3, 2, 1, rng);
+                blocks.push((Layer::Conv(down), Skip::Keep));
+                kept.push(ch);
+            }
         }
 
-        let mid1 = ResBlock::new(ch, ch, config.time_dim, config.groups, config.dropout, rng);
-        let mid_attn = SelfAttention2d::new(ch, config.groups.min(ch), rng);
-        let mid2 = ResBlock::new(ch, ch, config.time_dim, config.groups, config.dropout, rng);
+        blocks.push((Layer::res(ch, ch, config, rng), Skip::None));
+        blocks.push((Layer::attn(ch, config, rng), Skip::None));
+        blocks.push((Layer::res(ch, ch, config, rng), Skip::None));
 
-        let mut up = Vec::with_capacity(levels);
         for (level, &mult) in config.channel_mults.iter().enumerate().rev() {
-            let mut blocks = Vec::with_capacity(config.num_res_blocks + 1);
-            for _ in 0..config.num_res_blocks + 1 {
-                let skip_ch = chs.pop().expect("skip bookkeeping broke");
-                let out_c = base * mult;
-                let res = ResBlock::new(
-                    ch + skip_ch,
-                    out_c,
-                    config.time_dim,
-                    config.groups,
-                    config.dropout,
-                    rng,
-                );
-                ch = out_c;
-                let attn = config
-                    .attn_resolutions
-                    .contains(&level)
-                    .then(|| SelfAttention2d::new(ch, config.groups.min(ch), rng));
-                blocks.push((res, attn));
+            for _ in 0..=config.num_res_blocks {
+                let skip_ch = kept.pop().expect("skip bookkeeping broke");
+                let res = Layer::res(ch + skip_ch, base * mult, config, rng);
+                blocks.push((res, Skip::Cat(skip_ch)));
+                ch = base * mult;
+                if config.attn_resolutions.contains(&level) {
+                    blocks.push((Layer::attn(ch, config, rng), Skip::None));
+                }
             }
-            let up_conv = (level != 0).then(|| Conv2d::new(ch, ch, 3, 1, 1, rng));
-            up.push(UpStage {
-                blocks,
-                up: up_conv,
-            });
+            if level != 0 {
+                let up = Conv2d::new(ch, ch, 3, 1, 1, rng);
+                blocks.push((Layer::Up(up), Skip::None));
+            }
         }
-        assert!(chs.is_empty(), "skip bookkeeping broke");
+        assert!(kept.is_empty(), "skip bookkeeping broke");
 
         UNet {
             config: config.clone(),
             time_lin1,
             time_silu: Silu::new(),
             time_lin2,
-            stem,
-            down,
-            mid1,
-            mid_attn,
-            mid2,
-            up,
+            blocks,
             head_norm: GroupNorm::new(config.groups.min(ch), ch),
             head_silu: Silu::new(),
             head_conv: Conv2d::new(ch, config.out_channels, 3, 1, 1, rng),
-            cache_skip_channels: Vec::new(),
             dropout_rng: rand::SeedableRng::seed_from_u64(rng.gen()),
         }
     }
@@ -375,15 +410,8 @@ impl UNet {
     /// evaluation (identity) mode. Networks start in evaluation mode; the
     /// diffusion trainer enables training mode for its optimisation steps.
     pub fn set_training(&mut self, training: bool) {
-        for stage in &mut self.down {
-            for (res, _) in &mut stage.blocks {
-                res.dropout.set_training(training);
-            }
-        }
-        self.mid1.dropout.set_training(training);
-        self.mid2.dropout.set_training(training);
-        for stage in &mut self.up {
-            for (res, _) in &mut stage.blocks {
+        for (layer, _) in &mut self.blocks {
+            if let Layer::Res(res) = layer {
                 res.dropout.set_training(training);
             }
         }
@@ -399,6 +427,16 @@ impl UNet {
         self.params().iter().map(|p| p.len()).sum()
     }
 
+    fn check_input(&self, x: &Tensor, steps: &[usize]) {
+        assert_eq!(x.shape().len(), 4, "expected NCHW input");
+        assert_eq!(x.shape()[0], steps.len(), "batch/steps mismatch");
+        let levels = self.config.channel_mults.len();
+        assert!(
+            x.shape()[2].is_multiple_of(1 << (levels - 1)),
+            "spatial side must be divisible by 2^(levels-1)"
+        );
+    }
+
     /// Forward pass over a batch: `x` is `(n, in_channels, s, s)` and
     /// `steps[i]` is the diffusion step index of batch item `i`.
     ///
@@ -407,56 +445,24 @@ impl UNet {
     /// Panics when the batch size disagrees with `steps.len()`, the spatial
     /// side is not divisible by `2^(levels-1)`, or channels mismatch.
     pub fn forward(&mut self, x: &Tensor, steps: &[usize]) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "expected NCHW input");
-        assert_eq!(x.shape()[0], steps.len(), "batch/steps mismatch");
-        let levels = self.config.channel_mults.len();
-        assert!(
-            x.shape()[2].is_multiple_of(1 << (levels - 1)),
-            "spatial side must be divisible by 2^(levels-1)"
-        );
-
+        self.check_input(x, steps);
         let emb = sinusoidal_embedding(steps, self.config.time_dim);
         let temb = self
             .time_lin2
             .forward(&self.time_silu.forward(&self.time_lin1.forward(&emb)));
 
-        let mut drop_rng = self.dropout_rng.clone();
-        let mut h = self.stem.forward(x);
-        let mut skips: Vec<Tensor> = vec![h.clone()];
-        for stage in &mut self.down {
-            for (res, attn) in &mut stage.blocks {
-                h = res.forward(&h, &temb, &mut drop_rng);
-                if let Some(attn) = attn {
-                    h = attn.forward(&h);
-                }
+        let mut skips = Vec::new();
+        let mut h = x.clone();
+        for (layer, skip) in &mut self.blocks {
+            if let Skip::Cat(_) = skip {
+                h = h.cat_channels(&skips.pop().expect("skip stack underflow"));
+            }
+            h = layer.forward(&h, &temb, &mut self.dropout_rng);
+            if let Skip::Keep = skip {
                 skips.push(h.clone());
-            }
-            if let Some(down) = &mut stage.down {
-                h = down.forward(&h);
-                skips.push(h.clone());
-            }
-        }
-
-        h = self.mid1.forward(&h, &temb, &mut drop_rng);
-        h = self.mid_attn.forward(&h);
-        h = self.mid2.forward(&h, &temb, &mut drop_rng);
-
-        self.cache_skip_channels = skips.iter().map(|s| s.shape()[1]).collect();
-        for stage in &mut self.up {
-            for (res, attn) in &mut stage.blocks {
-                let skip = skips.pop().expect("skip stack underflow");
-                let cat = h.cat_channels(&skip);
-                h = res.forward(&cat, &temb, &mut drop_rng);
-                if let Some(attn) = attn {
-                    h = attn.forward(&h);
-                }
-            }
-            if let Some(upc) = &mut stage.up {
-                h = upc.forward(&upsample_nearest2(&h));
             }
         }
         debug_assert!(skips.is_empty());
-        self.dropout_rng = drop_rng;
 
         self.head_conv
             .forward(&self.head_silu.forward(&self.head_norm.forward(&h)))
@@ -475,31 +481,8 @@ impl UNet {
     pub fn prepack(&mut self) {
         self.time_lin1.prepack();
         self.time_lin2.prepack();
-        self.stem.prepack();
-        for stage in &mut self.down {
-            for (res, attn) in &mut stage.blocks {
-                res.prepack();
-                if let Some(attn) = attn {
-                    attn.prepack();
-                }
-            }
-            if let Some(down) = &mut stage.down {
-                down.prepack();
-            }
-        }
-        self.mid1.prepack();
-        self.mid_attn.prepack();
-        self.mid2.prepack();
-        for stage in &mut self.up {
-            for (res, attn) in &mut stage.blocks {
-                res.prepack();
-                if let Some(attn) = attn {
-                    attn.prepack();
-                }
-            }
-            if let Some(upc) = &mut stage.up {
-                upc.prepack();
-            }
+        for (layer, _) in &mut self.blocks {
+            layer.prepack();
         }
         self.head_conv.prepack();
     }
@@ -530,14 +513,7 @@ impl UNet {
     ///
     /// Same conditions as [`UNet::forward`].
     pub fn infer(&self, x: &Tensor, steps: &[usize], ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.shape().len(), 4, "expected NCHW input");
-        assert_eq!(x.shape()[0], steps.len(), "batch/steps mismatch");
-        let levels = self.config.channel_mults.len();
-        assert!(
-            x.shape()[2].is_multiple_of(1 << (levels - 1)),
-            "spatial side must be divisible by 2^(levels-1)"
-        );
-
+        self.check_input(x, steps);
         let emb = sinusoidal_embedding_ws(steps, self.config.time_dim, ws);
         // Hidden-layer SiLU fused into the GEMM epilogue; the final
         // embedding is activated once here (every residual block consumes
@@ -548,61 +524,41 @@ impl UNet {
         ws.recycle(t1);
         silu_in_place(&mut temb);
 
-        // Encoder: each produced feature map doubles as the next stage's
-        // input and a skip connection, so it is pushed (not copied) and
-        // borrowed back from the stack.
+        // A kept output doubles as the next block's input, so it is pushed
+        // (not copied) and read back from the top of the stack: `h` is
+        // `None` while the stack top (or, before the stem, `x`) is the
+        // current activation.
         let mut skips = ws.take_skip_stack();
-        skips.push(self.stem.infer(x, ws));
-        for stage in &self.down {
-            for (res, attn) in &stage.blocks {
-                let mut h = res.infer(skips.last().expect("stem pushed"), &temb, ws);
-                if let Some(attn) = attn {
-                    let a = attn.infer(&h, ws);
-                    ws.recycle(h);
-                    h = a;
-                }
-                skips.push(h);
-            }
-            if let Some(down) = &stage.down {
-                let h = down.infer(skips.last().expect("blocks pushed"), ws);
-                skips.push(h);
-            }
-        }
-
-        let m1 = self
-            .mid1
-            .infer(skips.last().expect("encoder pushed"), &temb, ws);
-        let ma = self.mid_attn.infer(&m1, ws);
-        ws.recycle(m1);
-        let mut h = self.mid2.infer(&ma, &temb, ws);
-        ws.recycle(ma);
-
-        for stage in &self.up {
-            for (res, attn) in &stage.blocks {
+        let mut h: Option<Tensor> = None;
+        // dp-lint: zero-alloc
+        for (layer, skip) in &self.blocks {
+            let out = if let Skip::Cat(_) = skip {
+                let main = h.take().expect("the decoder follows the middle blocks");
                 let skip = skips.pop().expect("skip stack underflow");
-                let mut cat = ws.take_uninit(&cat_channels_shape(&h, &skip));
-                cat_channels_into(&h, &skip, &mut cat);
-                ws.recycle(h);
+                let mut cat = ws.take_uninit(&cat_channels_shape(&main, &skip));
+                cat_channels_into(&main, &skip, &mut cat);
+                ws.recycle(main);
                 ws.recycle(skip);
-                h = res.infer(&cat, &temb, ws);
+                let out = layer.infer(&cat, &temb, ws);
                 ws.recycle(cat);
-                if let Some(attn) = attn {
-                    let a = attn.infer(&h, ws);
+                out
+            } else {
+                let out = layer.infer(h.as_ref().or(skips.last()).unwrap_or(x), &temb, ws);
+                if let Some(h) = h.take() {
                     ws.recycle(h);
-                    h = a;
                 }
-            }
-            if let Some(upc) = &stage.up {
-                let u = upsample_nearest2_ws(&h, ws);
-                ws.recycle(h);
-                h = upc.infer(&u, ws);
-                ws.recycle(u);
+                out
+            };
+            match skip {
+                Skip::Keep => skips.push(out),
+                _ => h = Some(out),
             }
         }
         debug_assert!(skips.is_empty());
         ws.put_skip_stack(skips);
         ws.recycle(temb);
 
+        let h = h.expect("the body ends in a decoder block");
         let hn = self.head_norm.infer_silu(&h, ws);
         ws.recycle(h);
         let out = self.head_conv.infer(&hn, ws);
@@ -615,92 +571,46 @@ impl UNet {
     ///
     /// # Panics
     ///
-    /// Panics when called before `forward`.
+    /// Panics with "backward before forward" unless a `forward` ran since
+    /// the last `backward`: each layer's backward consumes the cache its
+    /// forward left.
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad_temb_total: Option<Tensor> = None;
-        let accumulate_temb = |grad: Tensor, total: &mut Option<Tensor>| match total {
-            Some(t) => t.add_assign(&grad),
-            None => *total = Some(grad),
-        };
-
-        // Head.
         let g = self.head_conv.backward(grad_out);
         let g = self.head_silu.backward(&g);
         let mut g = self.head_norm.backward(&g);
 
-        // Decoder in reverse; collect skip grads in pop order reversed.
-        //
-        // Forward pushed skips s_0..s_{K-1} and the decoder consumed them
-        // last-first (s_{K-1} at the first cat). Backward therefore visits
-        // the cat that consumed s_0 FIRST, so skip channel counts are read
-        // from the front of the recorded list, and the grads collected here
-        // come out in push order (g(s_0), g(s_1), ...).
-        let mut skip_ch_front = 0usize;
+        // The reverse walk meets the decoder's concatenations in the order
+        // the encoder kept their skips, so the last-kept skip's gradient
+        // ends on top of the stack, where the encoder's reverse walk
+        // needs it first.
         let mut skip_grads: Vec<Tensor> = Vec::new();
-        for stage in self.up.iter_mut().rev() {
-            if let Some(upc) = &mut stage.up {
-                let gu = upc.backward(&g);
-                g = upsample_nearest2_backward(&gu);
+        let mut grad_temb: Option<Tensor> = None;
+        for (layer, skip) in self.blocks.iter_mut().rev() {
+            if let Skip::Keep = skip {
+                g.add_assign(&skip_grads.pop().expect("skip grad underflow"));
             }
-            for (res, attn) in stage.blocks.iter_mut().rev() {
-                if let Some(attn) = attn {
-                    g = attn.backward(&g);
+            let (gx, gt) = layer.backward(&g);
+            g = gx;
+            if let Some(gt) = gt {
+                match &mut grad_temb {
+                    Some(total) => total.add_assign(&gt),
+                    None => grad_temb = Some(gt),
                 }
-                let (gcat, gt) = res.backward(&g);
-                accumulate_temb(gt, &mut grad_temb_total);
-                // Split cat gradient into main and skip parts.
-                let skip_ch = self.cache_skip_channels[skip_ch_front];
-                skip_ch_front += 1;
-                let main_ch = gcat.shape()[1] - skip_ch;
-                let (gm, gs) = gcat.split_channels(main_ch);
+            }
+            if let Skip::Cat(skip_ch) = *skip {
+                let (gm, gs) = g.split_channels(g.shape()[1] - skip_ch);
                 skip_grads.push(gs);
                 g = gm;
             }
         }
-
-        // Middle.
-        let (gm, gt) = self.mid2.backward(&g);
-        accumulate_temb(gt, &mut grad_temb_total);
-        let gm = self.mid_attn.backward(&gm);
-        let (mut g, gt) = self.mid1.backward(&gm);
-        accumulate_temb(gt, &mut grad_temb_total);
-
-        // Encoder in reverse. skip_grads currently holds grads in the order
-        // the decoder consumed them backwards, i.e. skip_grads[k] matches the
-        // (K-1-k)-th pushed skip... pops happened from the end, and backward
-        // visited cat operations in reverse, so the first entry of skip_grads
-        // corresponds to the FIRST pushed skip. Encoder backward needs them
-        // last-pushed-first, so pop from the end of skip_grads.
-        for stage in self.down.iter_mut().rev() {
-            if let Some(down) = &mut stage.down {
-                let gs = skip_grads.pop().expect("skip grad underflow");
-                g.add_assign(&gs);
-                g = down.backward(&g);
-            }
-            for (res, attn) in stage.blocks.iter_mut().rev() {
-                let gs = skip_grads.pop().expect("skip grad underflow");
-                g.add_assign(&gs);
-                if let Some(attn) = attn {
-                    g = attn.backward(&g);
-                }
-                let (gx, gt) = res.backward(&g);
-                accumulate_temb(gt, &mut grad_temb_total);
-                g = gx;
-            }
-        }
-        // Stem skip.
-        let gs = skip_grads.pop().expect("skip grad underflow");
-        g.add_assign(&gs);
         debug_assert!(skip_grads.is_empty());
-        let grad_input = self.stem.backward(&g);
 
         // Time MLP.
-        let gt = grad_temb_total.expect("at least one res block");
+        let gt = grad_temb.expect("at least one res block");
         let gt = self.time_lin2.backward(&gt);
         let gt = self.time_silu.backward(&gt);
         let _ = self.time_lin1.backward(&gt);
-
-        grad_input
+        g
     }
 
     /// Every trainable parameter in a stable order (safe to pair with one
@@ -708,31 +618,8 @@ impl UNet {
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut params = self.time_lin1.params_mut();
         params.extend(self.time_lin2.params_mut());
-        params.extend(self.stem.params_mut());
-        for stage in &mut self.down {
-            for (res, attn) in &mut stage.blocks {
-                params.extend(res.params_mut());
-                if let Some(attn) = attn {
-                    params.extend(attn.params_mut());
-                }
-            }
-            if let Some(down) = &mut stage.down {
-                params.extend(down.params_mut());
-            }
-        }
-        params.extend(self.mid1.params_mut());
-        params.extend(self.mid_attn.params_mut());
-        params.extend(self.mid2.params_mut());
-        for stage in &mut self.up {
-            for (res, attn) in &mut stage.blocks {
-                params.extend(res.params_mut());
-                if let Some(attn) = attn {
-                    params.extend(attn.params_mut());
-                }
-            }
-            if let Some(upc) = &mut stage.up {
-                params.extend(upc.params_mut());
-            }
+        for (layer, _) in &mut self.blocks {
+            params.extend(layer.params_mut());
         }
         params.extend(self.head_norm.params_mut());
         params.extend(self.head_conv.params_mut());
@@ -745,31 +632,8 @@ impl UNet {
     pub fn params(&self) -> Vec<&Param> {
         let mut params = self.time_lin1.params();
         params.extend(self.time_lin2.params());
-        params.extend(self.stem.params());
-        for stage in &self.down {
-            for (res, attn) in &stage.blocks {
-                params.extend(res.params());
-                if let Some(attn) = attn {
-                    params.extend(attn.params());
-                }
-            }
-            if let Some(down) = &stage.down {
-                params.extend(down.params());
-            }
-        }
-        params.extend(self.mid1.params());
-        params.extend(self.mid_attn.params());
-        params.extend(self.mid2.params());
-        for stage in &self.up {
-            for (res, attn) in &stage.blocks {
-                params.extend(res.params());
-                if let Some(attn) = attn {
-                    params.extend(attn.params());
-                }
-            }
-            if let Some(upc) = &stage.up {
-                params.extend(upc.params());
-            }
+        for (layer, _) in &self.blocks {
+            params.extend(layer.params());
         }
         params.extend(self.head_norm.params());
         params.extend(self.head_conv.params());
@@ -900,15 +764,18 @@ mod tests {
         let y = live.forward(&x, &[3]);
         let _ = live.backward(&Tensor::full(y.shape(), 1.0));
 
-        // Check the stem weight gradient end to end.
+        // Check the stem weight gradient end to end (the stem follows the
+        // time MLP's two weight/bias pairs).
+        const STEM_WEIGHT: usize = 4;
         let base = net.clone();
         let x2 = x.clone();
-        let numeric = finite_diff(&net.stem.weight.value, move |w| {
+        let numeric = finite_diff(&net.params()[STEM_WEIGHT].value, move |w| {
             let mut n = base.clone();
-            n.stem.weight.value = w.clone();
+            n.params_mut()[STEM_WEIGHT].value = w.clone();
             n.forward(&x2, &[3]).sum()
         });
-        assert_close(&live.stem.weight.grad, &numeric, 8e-2, "unet stem dW");
+        let stem_grad = &live.params()[STEM_WEIGHT].grad;
+        assert_close(stem_grad, &numeric, 8e-2, "unet stem dW");
 
         // And the time MLP weight gradient (exercises temb accumulation).
         let base = net.clone();
@@ -1018,5 +885,16 @@ mod tests {
             .map(|p| p.value.shape().to_vec())
             .collect();
         assert_eq!(shapes, shapes_mut);
+    }
+
+    #[test]
+    #[should_panic(expected = "backward before forward")]
+    fn second_backward_after_one_forward_panics() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let mut net = UNet::new(&tiny_config(), &mut rng);
+        let y = net.forward(&Tensor::randn(&[1, 2, 8, 8], 1.0, &mut rng), &[4]);
+        let g = Tensor::full(y.shape(), 1.0);
+        let _ = net.backward(&g);
+        let _ = net.backward(&g);
     }
 }
