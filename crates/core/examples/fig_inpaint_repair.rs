@@ -36,10 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = pipeline.request_spec(EXTEND_COUNT).seed(7);
     let model = Arc::new(pipeline.into_trained_model()?);
     let channels = model.channels();
-    let patch = (0..=channels)
-        .find(|p| p * p == channels)
-        .expect("square channel count");
-    let side = patch * model.side();
+    let side = model.matrix_side();
     let service = PatternService::builder(Arc::clone(&model))
         .micro_batch(4)
         .build()?;
@@ -159,10 +156,8 @@ fn assert_frozen(
     channels: usize,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let tensor = DeepSquishTensor::fold(pattern.topology(), channels)?;
-    for (i, (&frozen, &want)) in region.mask().iter().zip(region.bits()).enumerate() {
-        if frozen && tensor.bits()[i] != want {
-            return Err(format!("frozen entry {i} diverged").into());
-        }
+    if !region.holds(tensor.bits()) {
+        return Err("a frozen entry diverged".into());
     }
     Ok(())
 }

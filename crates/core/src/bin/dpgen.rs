@@ -20,10 +20,6 @@
 //! parser is deliberately dependency-free (`--key value` pairs only) and
 //! strict: an option the (sub)command does not take, or a number that
 //! does not parse, is a usage error.
-//!
-//! `--weights FILE` is accepted as an alias of `--model FILE` for
-//! compatibility with pre-0.2 invocations (the file format changed: old
-//! raw-weight blobs are rejected with a clear error).
 
 use diffpattern::drc::{check_pattern, DesignRules};
 use diffpattern::geometry::BitGrid;
@@ -64,12 +60,12 @@ const USAGE: &str = "usage:
   dpgen gen   --model FILE --count N --out DIR [--seed N] [--stride N] [--threads N]
               [--micro-batch N] [--rules PRESET]...
               [--freeze-rect X,Y,W,H] [--freeze-from FILE] [--avoid-hotspots]
-  dpgen demo  [--iters N] [--count N] [--seed N] [--threads N]
+  dpgen demo  [--iters N] [--count N] [--seed N] [--threads N] [--steps K] [--stride N]
   dpgen library build --model FILE --out DIR [--count N] [--seed N] [--rules PRESET]...
               [--first-index N] [--segment-bytes N] [--stop-after N] [--threads N]
-              [--micro-batch N] [--iters N]
+              [--micro-batch N] [--iters N] [--steps K] [--stride N]
   dpgen library repair --model FILE --dir DIR [--rules PRESET] [--method NAME]
-              [--bucket RULESET] [--seed N] [--threads N] [--micro-batch N]
+              [--bucket RULESET] [--seed N] [--threads N] [--micro-batch N] [--stride N]
   dpgen library stat  --dir DIR
   dpgen library merge --out DIR --shard DIR [--shard DIR]... [--segment-bytes N]
 
@@ -77,8 +73,10 @@ rule presets: standard, larger-space, smaller-area
 (repeat --rules to serve several rule sets from one engine; each preset
 gets its own manifest under OUT/<preset>/)
 
-Every command that builds the dataset pipeline (all but library stat and
-merge) also takes --steps K and --stride N.
+--steps K sets the diffusion step count of a model the command trains
+(default 30; library build trains only when --model is missing). --stride N
+sets the reverse-sampling stride of the patterns it generates (default 1,
+the full chain).
 
 conditional generation (gen): --freeze-rect X,Y,W,H freezes the cells of
 that topology-matrix rectangle (cell coordinates, row 0 at the bottom)
@@ -111,16 +109,11 @@ type Run = fn(&Options) -> Result<(), Box<dyn std::error::Error>>;
 
 /// Every (sub)command with the options it takes and its body.
 const COMMANDS: &[(&str, &[&str], Run)] = &[
-    (
-        "train",
-        &["iters", "model", "weights", "seed", "steps", "stride"],
-        train,
-    ),
+    ("train", &["iters", "model", "seed", "steps"], train),
     (
         "gen",
         &[
             "model",
-            "weights",
             "count",
             "out",
             "seed",
@@ -130,7 +123,6 @@ const COMMANDS: &[(&str, &[&str], Run)] = &[
             "freeze-rect",
             "freeze-from",
             "avoid-hotspots",
-            "steps",
             "stride",
         ],
         generate,
@@ -144,7 +136,6 @@ const COMMANDS: &[(&str, &[&str], Run)] = &[
         "library build",
         &[
             "model",
-            "weights",
             "out",
             "count",
             "first-index",
@@ -164,7 +155,6 @@ const COMMANDS: &[(&str, &[&str], Run)] = &[
         "library repair",
         &[
             "model",
-            "weights",
             "dir",
             "rules",
             "method",
@@ -172,7 +162,6 @@ const COMMANDS: &[(&str, &[&str], Run)] = &[
             "seed",
             "threads",
             "micro-batch",
-            "steps",
             "stride",
         ],
         library_repair,
@@ -260,7 +249,6 @@ fn opt_str<'o>(options: &'o Options, key: &str) -> Option<&'o str> {
 
 fn model_path(options: &Options, command: &str) -> Result<String, Box<dyn std::error::Error>> {
     opt_str(options, "model")
-        .or_else(|| opt_str(options, "weights"))
         .map(str::to_string)
         .ok_or_else(|| format!("`{command}` needs --model FILE").into())
 }
@@ -275,14 +263,6 @@ fn rules_preset(name: &str) -> Result<DesignRules, Box<dyn std::error::Error>> {
         )
         .into()),
     }
-}
-
-/// The side of the model's unfolded topology matrix (`√C × M` cells).
-fn matrix_side(model: &TrainedModel) -> usize {
-    let patch = (0..=model.channels())
-        .find(|p| p * p == model.channels())
-        .expect("trained models have square channel counts");
-    patch * model.side()
 }
 
 /// Parses `X,Y,W,H` (topology-matrix cell coordinates, row 0 at the
@@ -351,7 +331,7 @@ fn freeze_region(
         return Ok(None);
     };
     let model = service.model();
-    let side = matrix_side(model);
+    let side = model.matrix_side();
     let (x, y, w, h) = parse_rect(rect, side)?;
     let donor = match opt_str(options, "freeze-from") {
         Some(file) => parse_topology(&std::fs::read_to_string(file)?, side)?,
@@ -393,12 +373,10 @@ fn verify_frozen(
 ) -> Result<(), Box<dyn std::error::Error>> {
     for g in &batch.items {
         let tensor = DeepSquishTensor::fold(g.pattern.topology(), channels)?;
-        for (i, (&frozen, &want)) in region.mask().iter().zip(region.bits()).enumerate() {
-            if frozen && tensor.bits()[i] != want {
-                return Err(
-                    format!("pattern {} clobbered frozen entry {i}", g.provenance.index).into(),
-                );
-            }
+        if !region.holds(tensor.bits()) {
+            return Err(
+                format!("pattern {} clobbered the frozen region", g.provenance.index).into(),
+            );
         }
     }
     Ok(())
@@ -410,8 +388,16 @@ fn build_pipeline(
 ) -> Result<Pipeline, Box<dyn std::error::Error>> {
     let mut config = PipelineConfig::tiny();
     config.train.diffusion_steps = opt_usize(options, "steps", 30);
-    config.sample_stride = opt_usize(options, "stride", 1);
     Ok(Pipeline::from_synthetic_map(config, rng)?)
+}
+
+/// The pipeline's request for `count` patterns under `--seed` and
+/// `--stride`.
+fn base_spec(pipeline: &Pipeline, options: &Options, count: usize, seed: u64) -> RequestSpec {
+    RequestSpec {
+        sample_stride: opt_usize(options, "stride", 1),
+        ..pipeline.request_spec(count).seed(seed)
+    }
 }
 
 fn train(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
@@ -465,7 +451,7 @@ fn generate(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         .threads(threads)
         .micro_batch(micro_batch)
         .build()?;
-    let base = pipeline.request_spec(count).seed(seed);
+    let base = base_spec(&pipeline, options, count, seed);
     let frozen = freeze_region(&service, &base, options)?;
     let avoid = options.contains_key("avoid-hotspots");
     let channels = service.model().channels();
@@ -573,7 +559,7 @@ fn library_repair(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
     let model = Arc::new(TrainedModel::load(&std::fs::read(&model_file)?)?);
     let channels = model.channels();
-    let side = matrix_side(&model);
+    let side = model.matrix_side();
 
     // Scan pass (read-only): collect the flagged entries and build each
     // one's inpainting constraint.
@@ -617,7 +603,7 @@ fn library_repair(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         .threads(threads)
         .micro_batch(micro_batch)
         .build()?;
-    let base = pipeline.request_spec(1).seed(seed);
+    let base = base_spec(&pipeline, options, 1, seed);
 
     let mut writer = LibraryWriter::open(dir, LibraryConfig::default())?;
     let cursor = writer.open_bucket("repair", &preset, 0)?;
@@ -659,14 +645,12 @@ fn library_repair(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         let cond = &flagged[(rec.source_index - cursor) as usize];
         let region = cond.frozen().expect("repair conditioning always freezes");
         let tensor = DeepSquishTensor::fold(rec.pattern.topology(), channels)?;
-        for (i, (&frozen, &want)) in region.mask().iter().zip(region.bits()).enumerate() {
-            if frozen && tensor.bits()[i] != want {
-                return Err(format!(
-                    "repair of slot {} clobbered frozen entry {i}",
-                    rec.source_index
-                )
-                .into());
-            }
+        if !region.holds(tensor.bits()) {
+            return Err(format!(
+                "repair of slot {} clobbered the frozen region",
+                rec.source_index
+            )
+            .into());
         }
         if check_pattern(&rec.pattern, &rules).is_clean() {
             clean += 1;
@@ -764,7 +748,7 @@ fn library_build(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
             ..LibraryConfig::default()
         },
     )?;
-    let base_spec = pipeline.request_spec(count).seed(seed);
+    let base = base_spec(&pipeline, options, count, seed);
 
     // Open every bucket first and submit all remainders up front: one
     // engine, one pool, requests fill each other's micro-batches; a
@@ -778,7 +762,7 @@ fn library_build(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
                 rules: *rules,
                 count: (end - cursor) as usize,
                 first_index: cursor as usize,
-                ..base_spec.clone()
+                ..base.clone()
             };
             jobs.push((preset.clone(), Some(service.submit(&spec)?)));
         } else {
@@ -849,7 +833,7 @@ fn demo(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let mut pipeline = build_pipeline(options, &mut rng)?;
     eprintln!("training {iters} iterations...");
     let _ = pipeline.train(iters, &mut rng)?;
-    let spec = pipeline.request_spec(count).seed(seed);
+    let spec = base_spec(&pipeline, options, count, seed);
     let service = PatternService::builder(Arc::new(pipeline.into_trained_model()?))
         .threads(threads)
         .build()?;
@@ -913,6 +897,16 @@ mod tests {
             "library stat --dir d --count 1",
             "library merge --out d --shard s --threads 2",
             "library repair --model m --dir d --first-index 3",
+            // Options that would change nothing: training never samples,
+            // and generation uses the loaded model's schedule.
+            "train --model m --stride 5",
+            "gen --model m --out d --steps 7",
+            "library repair --model m --dir d --steps 7",
+            // `--weights` is not an alias of `--model`.
+            "train --weights m",
+            "gen --weights m --out d",
+            "library build --weights m --out d",
+            "library repair --weights m --dir d",
         ] {
             assert!(rejected(line).contains("does not take"), "{line}");
         }
@@ -941,10 +935,8 @@ mod tests {
     #[test]
     fn usage_documents_every_option_each_command_takes() {
         // The option tables and the usage text must not drift apart: each
-        // command's usage entry names every option it takes, apart from
-        // the legacy `--weights` alias and the shared `--steps`/`--stride`
-        // note, and every numeric option and flag belongs to a command.
-        assert!(USAGE.contains("also takes --steps K and --stride N"));
+        // command's usage entry names exactly the options it takes, and
+        // every numeric option and flag belongs to a command.
         for (name, allowed, _) in COMMANDS {
             let start = USAGE
                 .find(&format!("dpgen {name} "))
@@ -958,13 +950,16 @@ mod tests {
             let words: Vec<&str> = entry[..end]
                 .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
                 .collect();
-            for key in allowed
-                .iter()
-                .filter(|key| !["weights", "steps", "stride"].contains(key))
-            {
+            for key in *allowed {
                 assert!(
                     words.contains(&format!("--{key}").as_str()),
                     "usage of `{name}` does not mention --{key}"
+                );
+            }
+            for word in words.iter().filter_map(|w| w.strip_prefix("--")) {
+                assert!(
+                    allowed.contains(&word),
+                    "usage of `{name}` mentions --{word}, which it does not take"
                 );
             }
         }

@@ -539,14 +539,7 @@ fn frozen_preserved(conditioning: &Conditioning, grid: &BitGrid, channels: usize
     let Some(region) = conditioning.frozen() else {
         return true;
     };
-    let Ok(tensor) = DeepSquishTensor::fold(grid, channels) else {
-        return false;
-    };
-    region
-        .mask()
-        .iter()
-        .zip(region.bits().iter().zip(tensor.bits()))
-        .all(|(&frozen, (&want, &got))| !frozen || want == got)
+    DeepSquishTensor::fold(grid, channels).is_ok_and(|tensor| region.holds(tensor.bits()))
 }
 
 /// The per-lane finish stage after a sample survived the pre-filter.

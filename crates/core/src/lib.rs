@@ -18,28 +18,31 @@
 //! This crate is the facade, built around an explicit **train/infer
 //! split**:
 //!
-//! * [`Pipeline`] builds the dataset and trains the diffusion model;
+//! * [`Pipeline`] builds the dataset and trains the diffusion model
+//!   ([`PipelineConfig`] configures training only;
+//!   [`Pipeline::request_spec`] hands the dataset's Solving-E donors to a
+//!   [`RequestSpec`]);
 //! * [`TrainedModel`] is the frozen, immutable artifact of training
 //!   (weights + schedule + fold geometry, `TrainedModel::save`/`load` for
 //!   persistence) — every operation takes `&self`, so one model serves any
 //!   number of threads;
 //! * [`PatternService`] is the one generation API: an owned, long-lived
 //!   pool over an `Arc<TrainedModel>` that takes plain-data
-//!   [`RequestSpec`]s (validated at submit, [`ConfigError`] instead of a
-//!   panic), multiplexes many concurrent requests and fills every
-//!   denoising micro-batch **across requests**, streaming each request's
-//!   [`Generated`] items with full [`Provenance`] through a `'static`
-//!   [`RequestHandle`] that cancels on drop — with output bit-identical
-//!   per seed regardless of concurrent load, worker count, micro-batch
-//!   size, or admission order;
+//!   [`RequestSpec`]s (which carry every generation setting; validated at
+//!   submit, [`ConfigError`] instead of a panic), multiplexes many
+//!   concurrent requests and fills every denoising micro-batch **across
+//!   requests**, streaming each request's [`Generated`] items with full
+//!   [`Provenance`] through a `'static` [`RequestHandle`] that cancels on
+//!   drop — with output bit-identical per seed regardless of concurrent
+//!   load, worker count, micro-batch size, or admission order;
 //! * [`Conditioning`] makes any request conditional: frozen-region
 //!   inpainting ([`FrozenRegion`]) and hotspot-avoidance guidance
 //!   ([`MotifGuidance`]) ride on [`RequestSpec`] per lane — recipes in
 //!   [`hotspot_guidance`] and [`repair_conditioning`] — without changing
 //!   the determinism contract;
-//! * [`PatternSource`] unifies the diffusion path and all four baseline
-//!   generators behind one interface for the comparison harnesses
-//!   ([`table1`], [`table2`]) and the `dpgen` CLI;
+//! * [`table1`] and [`table2`] are the comparison harnesses: Table I
+//!   runs the four baseline generators of [`dp_baselines`] directly and
+//!   both DiffPattern modes through [`PatternService`];
 //! * [`render`] produces the ASCII/PGM artwork for the figure examples.
 //!
 //! # Quickstart
@@ -84,7 +87,6 @@ pub mod metrics;
 mod pipeline;
 pub mod render;
 mod service;
-mod source;
 pub mod table1;
 pub mod table2;
 
@@ -96,10 +98,6 @@ pub use pipeline::{BackboneConfig, Pipeline, PipelineConfig, PipelineReport};
 pub use service::{
     Generated, Generation, PatternService, Provenance, RecvPoll, RequestHandle, RequestSpec,
     ServiceBuilder, ServiceStats,
-};
-pub use source::{
-    DiffusionSource, DiffusionVariantsSource, PatternSource, PixelSource, SequenceSource,
-    SourceBatch,
 };
 
 pub use dp_diffusion::{Conditioning, FrozenRegion, Motif, MotifGuidance, TrainedModel};

@@ -3,9 +3,7 @@ use dp_datagen::{
     build_dataset, split_into_tiles, Dataset, DatasetConfig, GeneratorConfig, LayoutMapGenerator,
 };
 use dp_diffusion::{TrainConfig, TrainReport, TrainedModel, Trainer};
-use dp_drc::DesignRules;
 use dp_geometry::{Coord, Layout};
-use dp_legalize::SolverConfig;
 use dp_nn::UNetConfig;
 use rand::Rng;
 
@@ -33,7 +31,9 @@ pub struct BackboneConfig {
     pub dropout: f32,
 }
 
-/// End-to-end configuration of the DiffPattern pipeline.
+/// Training configuration of the DiffPattern pipeline: the dataset, the
+/// U-Net and the trainer. Generation settings (rules, solver window,
+/// sampling stride, pre-filter policy) belong to each [`RequestSpec`].
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
     /// Synthetic-map generator settings (the dataset substitute).
@@ -46,22 +46,6 @@ pub struct PipelineConfig {
     pub unet: BackboneConfig,
     /// Diffusion training settings.
     pub train: TrainConfig,
-    /// Design rules for legalization and DRC.
-    pub rules: DesignRules,
-    /// Legalization solver settings.
-    pub solver: SolverConfig,
-    /// Reverse-sampling stride. 1 runs the full ancestral chain (paper
-    /// Eq. 13); larger values use the respaced DDIM-style sampler with
-    /// `K / stride` denoiser calls per topology (see
-    /// [`dp_diffusion::Sampler::strided_steps`]).
-    pub sample_stride: usize,
-    /// Pre-filter policy. `false` is the paper's behaviour: topologies with
-    /// bow-ties are rejected outright (the paper reports < 0.1 % rejection
-    /// at its 0.5 M-iteration GPU training scale). `true` repairs bow-ties
-    /// instead of rejecting, which keeps CPU-scale models (thousands of
-    /// iterations) productive; repaired counts are reported separately so
-    /// runs stay honest about model quality.
-    pub repair_bowties: bool,
 }
 
 impl Default for PipelineConfig {
@@ -87,10 +71,6 @@ impl Default for PipelineConfig {
                 diffusion_steps: 100,
                 ..TrainConfig::default()
             },
-            rules: DesignRules::standard(),
-            solver: SolverConfig::for_window(2048, 2048),
-            sample_stride: 1,
-            repair_bowties: true,
         }
     }
 }
@@ -153,13 +133,9 @@ impl PipelineConfig {
     ///
     /// # Errors
     ///
-    /// [`ConfigError`] for a zero sampling stride, a non-square fold
-    /// channel count, a matrix side the fold patch does not divide, or a
-    /// solver window smaller than the topology matrix.
+    /// [`ConfigError`] for a non-square fold channel count or a matrix
+    /// side the fold patch does not divide.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if self.sample_stride == 0 {
-            return Err(ConfigError::ZeroStride);
-        }
         let patch = self.fold_patch();
         if patch * patch != self.dataset.channels {
             return Err(ConfigError::ChannelsNotSquare {
@@ -170,15 +146,6 @@ impl PipelineConfig {
             return Err(ConfigError::SideNotDivisible {
                 matrix_side: self.dataset.matrix_side,
                 patch,
-            });
-        }
-        if (self.dataset.matrix_side as i64) > self.solver.target_width
-            || (self.dataset.matrix_side as i64) > self.solver.target_height
-        {
-            return Err(ConfigError::WindowTooSmall {
-                matrix_side: self.dataset.matrix_side,
-                target_width: self.solver.target_width,
-                target_height: self.solver.target_height,
             });
         }
         Ok(())
@@ -194,7 +161,7 @@ pub struct PipelineReport {
     /// Topologies rejected by the bow-tie pre-filter.
     pub prefilter_rejected: usize,
     /// Topologies whose bow-ties were repaired instead of rejected
-    /// (only with [`PipelineConfig::repair_bowties`]).
+    /// (only with [`RequestSpec::repair_bowties`]).
     pub prefilter_repaired: usize,
     /// Topologies the solver could not legalize (including
     /// requested-but-unsolved DiffPattern-L variants).
@@ -347,19 +314,12 @@ impl Pipeline {
         Ok(self.trainer.finish()?)
     }
 
-    /// Builds a [`RequestSpec`] for `count` patterns, pre-populated with
-    /// this pipeline's rules, solver window, sampling stride, pre-filter
-    /// policy and Solving-E donors (the extended dataset patterns, as the
-    /// paper prescribes).
+    /// [`RequestSpec::new`]`(count)` with this dataset's Solving-E donors
+    /// (the extended dataset patterns, as the paper prescribes).
     pub fn request_spec(&self, count: usize) -> RequestSpec {
         RequestSpec {
-            count,
-            rules: self.config.rules,
-            solver: self.config.solver,
-            sample_stride: self.config.sample_stride,
-            repair_bowties: self.config.repair_bowties,
             donors: self.dataset.extended.clone().into(),
-            ..RequestSpec::new(0)
+            ..RequestSpec::new(count)
         }
     }
 }
@@ -407,13 +367,12 @@ mod tests {
         let (mut pipeline, mut rng) = tiny_pipeline(2);
         let report = pipeline.train(6, &mut rng).unwrap();
         assert_eq!(report.losses.len(), 6);
-        let batch = service(&pipeline)
-            .generate(&pipeline.request_spec(3).seed(2))
-            .unwrap();
+        let spec = pipeline.request_spec(3).seed(2);
+        let batch = service(&pipeline).generate(&spec).unwrap();
         // Every returned pattern must be DRC-clean: the 100 % legality
         // claim is structural.
         for g in &batch.items {
-            let drc = dp_drc::check_pattern(&g.pattern, &pipeline.config().rules);
+            let drc = dp_drc::check_pattern(&g.pattern, &spec.rules);
             assert!(drc.is_clean(), "{:?}", drc.violations());
         }
         let r = batch.report;
@@ -439,14 +398,13 @@ mod tests {
 
     #[test]
     fn respaced_pipeline_sampling_works() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut config = PipelineConfig::tiny();
-        config.sample_stride = 5;
-        let mut pipeline = Pipeline::from_synthetic_map(config, &mut rng).unwrap();
+        let (mut pipeline, mut rng) = tiny_pipeline(5);
         let _ = pipeline.train(4, &mut rng).unwrap();
-        let (topos, _) = service(&pipeline)
-            .sample_topologies(&pipeline.request_spec(2).seed(5))
-            .unwrap();
+        let spec = RequestSpec {
+            sample_stride: 5,
+            ..pipeline.request_spec(2).seed(5)
+        };
+        let (topos, _) = service(&pipeline).sample_topologies(&spec).unwrap();
         assert_eq!(topos.len(), 2);
         for t in &topos {
             assert_eq!((t.width(), t.height()), (32, 32));
@@ -455,14 +413,19 @@ mod tests {
 
     #[test]
     fn request_spec_mirrors_the_pipeline_config() {
+        // The pipeline contributes only the dataset's donors; every
+        // generation setting is `RequestSpec::new`'s default.
         let (pipeline, _) = tiny_pipeline(8);
         let spec = pipeline.request_spec(5).seed(9);
+        let defaults = RequestSpec::new(5).seed(9);
         assert_eq!(spec.count, 5);
         assert_eq!(spec.seed, 9);
-        assert_eq!(spec.rules, pipeline.config().rules);
-        assert_eq!(spec.sample_stride, pipeline.config().sample_stride);
-        assert_eq!(spec.repair_bowties, pipeline.config().repair_bowties);
-        assert_eq!(spec.donors.len(), pipeline.dataset().extended.len());
+        assert_eq!(spec.rules, defaults.rules);
+        assert_eq!(spec.solver, defaults.solver);
+        assert_eq!(spec.sample_stride, defaults.sample_stride);
+        assert_eq!(spec.max_attempts, defaults.max_attempts);
+        assert_eq!(spec.repair_bowties, defaults.repair_bowties);
+        assert_eq!(spec.donors[..], pipeline.dataset().extended[..]);
     }
 
     #[test]
@@ -479,16 +442,13 @@ mod tests {
             }))
         ));
         let mut config = PipelineConfig::tiny();
-        config.sample_stride = 0;
+        config.dataset.matrix_side = 30;
         assert!(matches!(
             Pipeline::from_synthetic_map(config, &mut rng),
-            Err(PipelineError::Config(ConfigError::ZeroStride))
-        ));
-        let mut config = PipelineConfig::tiny();
-        config.solver = SolverConfig::for_window(8, 2048);
-        assert!(matches!(
-            Pipeline::from_synthetic_map(config, &mut rng),
-            Err(PipelineError::Config(ConfigError::WindowTooSmall { .. }))
+            Err(PipelineError::Config(ConfigError::SideNotDivisible {
+                matrix_side: 30,
+                patch: 4
+            }))
         ));
     }
 

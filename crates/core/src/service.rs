@@ -143,13 +143,19 @@ pub struct RequestSpec {
     pub rules: DesignRules,
     /// Legalization solver settings.
     pub solver: SolverConfig,
-    /// Reverse-sampling stride: 1 runs the full ancestral chain, larger
-    /// values use the respaced sampler with `K / stride` denoiser calls.
+    /// Reverse-sampling stride: 1 runs the full ancestral chain (paper
+    /// Eq. 13), larger values use the respaced sampler with `K / stride`
+    /// denoiser calls (see [`dp_diffusion::Sampler::strided_steps`]).
     pub sample_stride: usize,
     /// Per-item sampling attempt budget before the slot is counted as
     /// shortfall.
     pub max_attempts: usize,
-    /// Repair bow-ties instead of rejecting the sample.
+    /// Pre-filter policy. `false` is the paper's behaviour: topologies
+    /// with bow-ties are rejected outright (the paper reports < 0.1 %
+    /// rejection at its 0.5 M-iteration GPU training scale). `true` (the
+    /// default) repairs bow-ties instead, which keeps CPU-scale models
+    /// productive; repaired counts are reported separately
+    /// ([`PipelineReport::prefilter_repaired`]).
     pub repair_bowties: bool,
     /// Donor patterns for Solving-E initialisation; empty falls back to
     /// Solving-R. Shared (`Arc`) so specs clone cheaply.

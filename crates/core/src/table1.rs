@@ -2,12 +2,10 @@
 //! dataset.
 //!
 //! The paper generates 100 000 topologies per method on GPU clusters; the
-//! harness scales the counts by configuration (see `EXPERIMENTS.md` for
-//! the sizes used in the recorded run) while keeping the comparison
-//! structure identical. Every generation method — the four baselines and
-//! both DiffPattern modes — runs through the same [`PatternSource`]
-//! interface, so adding a method to the table means adding one source to
-//! the list:
+//! harness scales the counts by configuration ([`Table1Config`]) while
+//! keeping the comparison structure identical. The baselines come from
+//! [`dp_baselines`]; both DiffPattern modes go through the one generation
+//! API, [`PatternService`]:
 //!
 //! | Row | Generator | Delta assignment |
 //! |---|---|---|
@@ -21,16 +19,15 @@
 //! | DiffPattern-L | discrete diffusion | white-box solver, many per topology |
 
 use crate::metrics::{evaluate_patterns, MethodRow};
-use crate::source::{
-    DiffusionSource, DiffusionVariantsSource, PatternSource, PixelSource, SequenceSource,
+use crate::{GenerateError, PatternService, PipelineError, RequestSpec};
+use dp_baselines::{
+    assign_borrowed_deltas, AeConfig, Cae, MorphLegalizer, SequenceModel, SequenceModelConfig, Vcae,
 };
-use crate::{PatternService, PipelineError, RequestSpec};
-use dp_baselines::{AeConfig, MorphLegalizer};
 use dp_datagen::{Dataset, PatternLibrary};
 use dp_geometry::BitGrid;
+use dp_legalize::Solver;
 use dp_squish::SquishPattern;
-use rand::{Rng, RngCore};
-use std::rc::Rc;
+use rand::Rng;
 
 /// Scale knobs for the Table I run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,11 +72,13 @@ impl Table1Config {
 /// Runs every row of Table I: the service supplies the trained diffusion
 /// model and its worker pool, `spec` the rules/seed/stride every
 /// DiffPattern row uses, `dataset` the shared training data every
-/// baseline fits on.
+/// baseline fits on. The baselines fit and generate from `rng`, and so do
+/// DiffPattern-L's solves; the sampled topologies depend on `spec` only.
 ///
 /// # Errors
 ///
-/// Propagates [`PipelineError`] from the generation sources.
+/// Propagates [`PipelineError`] from the service and from assembling
+/// DiffPattern-L's patterns.
 ///
 /// # Panics
 ///
@@ -94,90 +93,114 @@ pub fn run(
 ) -> Result<Vec<MethodRow>, PipelineError> {
     let rules = spec.rules;
     let window = spec.solver.target_width;
-    let matrix_side = service.model().matrix_side();
     assert_eq!(
-        config.ae.side, matrix_side,
+        config.ae.side,
+        service.model().matrix_side(),
         "AE baseline side must match the dataset matrix side"
     );
-    let donors: Vec<SquishPattern> = dataset.patterns.clone();
-    // Shared pools: every pixel source holds an Rc into the same
-    // allocations. The grids are the extended topology matrices (unfold
-    // of the dataset tensors).
-    let grid_pool: Rc<[BitGrid]> = dataset.tensors.iter().map(|t| t.unfold()).collect();
-    let donor_pool: Rc<[SquishPattern]> = donors.clone().into();
-
-    let mut rows = Vec::new();
+    let count = config.generate;
+    let donors = &dataset.patterns;
+    // The pixel baselines train on, and the CAE perturbs, the extended
+    // topology matrices (unfold of the dataset tensors).
+    let grids: Vec<BitGrid> = dataset.tensors.iter().map(|t| t.unfold()).collect();
 
     // Real patterns row (legality is not applicable; the paper prints '-').
-    let real_lib: PatternLibrary = {
-        let mut lib = PatternLibrary::new();
-        for p in &donors {
-            lib.add_pattern(p);
-        }
-        lib
-    };
-    rows.push(MethodRow {
+    let mut real = PatternLibrary::new();
+    for p in donors {
+        real.add_pattern(p);
+    }
+    let mut rows = vec![MethodRow {
         name: "Real Patterns".into(),
         topologies: None,
-        patterns: real_lib.len(),
-        diversity: real_lib.diversity(),
-        legal: real_lib.len(),
-        diversity_legal: real_lib.diversity(),
-    });
+        patterns: real.len(),
+        diversity: real.diversity(),
+        legal: real.len(),
+        diversity_legal: real.diversity(),
+    }];
 
-    // Every generation method behind the one PatternSource interface.
-    let cae = PixelSource::fit_cae(
-        "CAE [7]",
-        config.ae,
-        Rc::clone(&grid_pool),
-        Rc::clone(&donor_pool),
-        window,
-        config.ae_iterations,
-        rng,
+    // Fit every baseline before any of them generates: the rows and the
+    // caller's RNG stream depend on this order.
+    let mut cae = Cae::new(config.ae, rng);
+    let _ = cae.train(&grids, config.ae_iterations, 8, rng);
+    let mut vcae = Vcae::new(config.ae, 0.05, rng);
+    let _ = vcae.train(&grids, config.ae_iterations, 8, rng);
+    let sequence = SequenceModel::fit(
+        donors,
+        SequenceModelConfig {
+            window,
+            ..SequenceModelConfig::default()
+        },
     );
-    let cae_legal = cae.with_legalizer("CAE+LegalGAN [8]", MorphLegalizer::default());
-    let vcae = PixelSource::fit_vcae(
-        "VCAE [8]",
-        config.ae,
-        &grid_pool,
-        Rc::clone(&donor_pool),
-        window,
-        config.ae_iterations,
-        rng,
-    );
-    let vcae_legal = vcae.with_legalizer("VCAE+LegalGAN [8]", MorphLegalizer::default());
-    let seq = SequenceSource::fit("LayouTransformer [9]", &donors, window);
 
-    let mut sources: Vec<(Box<dyn PatternSource + '_>, usize)> = vec![
-        (Box::new(cae), config.generate),
-        (Box::new(cae_legal), config.generate),
-        (Box::new(vcae), config.generate),
-        (Box::new(vcae_legal), config.generate),
-        (Box::new(seq), config.generate),
-        (
-            Box::new(DiffusionSource::new(service, spec.clone(), "DiffPattern-S")),
-            config.generate,
-        ),
-        (
-            Box::new(DiffusionVariantsSource::new(
-                service,
-                spec.clone(),
-                config.variants_per_topology,
-                "DiffPattern-L",
-            )),
-            config.generate,
-        ),
-    ];
-
-    for (source, count) in &mut sources {
-        let batch = source.generate(*count, rng as &mut dyn RngCore)?;
-        rows.push(evaluate_patterns(
-            &source.name(),
-            batch.topologies,
-            &batch.patterns,
-            &rules,
-        ));
+    // The pixel baselines, each with and without the LegalGAN-style
+    // legalizer, borrow their Δ vectors from the dataset.
+    let legalizer = MorphLegalizer::default();
+    for (name, variational, legalize) in [
+        ("CAE [7]", false, false),
+        ("CAE+LegalGAN [8]", false, true),
+        ("VCAE [8]", true, false),
+        ("VCAE+LegalGAN [8]", true, true),
+    ] {
+        let mut patterns = Vec::with_capacity(count);
+        for _ in 0..count {
+            let mut topology = if variational {
+                vcae.generate(rng)
+            } else {
+                cae.generate(&grids, 0.5, rng)
+            };
+            if legalize {
+                topology = legalizer.legalize(&topology);
+            }
+            patterns.push(assign_borrowed_deltas(&topology, donors, window, rng));
+        }
+        rows.push(evaluate_patterns(name, Some(count), &patterns, &rules));
     }
+
+    // LayouTransformer generates in physical coordinates: no topology
+    // phase, native Δ vectors.
+    let patterns: Vec<SquishPattern> = (0..count)
+        .map(|_| SquishPattern::encode(&sequence.generate(rng)))
+        .collect();
+    rows.push(evaluate_patterns(
+        "LayouTransformer [9]",
+        None,
+        &patterns,
+        &rules,
+    ));
+
+    // DiffPattern-S: one legal pattern per sampled topology.
+    let spec = RequestSpec {
+        count,
+        ..spec.clone()
+    };
+    let batch = service.generate(&spec)?;
+    let patterns: Vec<SquishPattern> = batch.items.into_iter().map(|g| g.pattern).collect();
+    rows.push(evaluate_patterns(
+        "DiffPattern-S",
+        Some(patterns.len()),
+        &patterns,
+        &rules,
+    ));
+
+    // DiffPattern-L: the same seed's topologies, each solved into up to
+    // `variants_per_topology` distinct legal patterns (paper Fig. 7).
+    let (topologies, _) = service.sample_topologies(&spec)?;
+    let solver = Solver::new(rules, spec.solver);
+    let mut patterns = Vec::new();
+    for topology in &topologies {
+        for s in solver.solve_many(topology, config.variants_per_topology, rng) {
+            patterns.push(
+                SquishPattern::new(topology.clone(), s.dx, s.dy)
+                    .map_err(GenerateError::Assembly)?,
+            );
+        }
+    }
+    rows.push(evaluate_patterns(
+        "DiffPattern-L",
+        Some(topologies.len()),
+        &patterns,
+        &rules,
+    ));
 
     Ok(rows)
 }
@@ -186,7 +209,7 @@ pub fn run(
 mod tests {
     use super::*;
     use crate::{Pipeline, PipelineConfig};
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn tiny_table_runs_all_rows() {
@@ -217,5 +240,55 @@ mod tests {
         for row in rows.iter().filter(|r| r.name.starts_with("DiffPattern")) {
             assert_eq!(row.legal, row.patterns, "{row}");
         }
+
+        // Every row, and the caller's RNG after the run, pinned exactly:
+        // (name, topologies, patterns, legal, diversity bits, legal bits).
+        type Row<'a> = (&'a str, Option<usize>, usize, usize, u64, u64);
+        let expected: [Row; 8] = [
+            (
+                "Real Patterns",
+                None,
+                32,
+                32,
+                0x4011_67d7_f62a_4190,
+                0x4011_67d7_f62a_4190,
+            ),
+            ("CAE [7]", Some(8), 8, 0, 0x4008_0000_0000_0000, 0),
+            ("CAE+LegalGAN [8]", Some(8), 8, 1, 0x4008_0000_0000_0000, 0),
+            ("VCAE [8]", Some(8), 8, 0, 0x4004_0000_0000_0000, 0),
+            (
+                "VCAE+LegalGAN [8]",
+                Some(8),
+                8,
+                2,
+                0x4008_0000_0000_0000,
+                0x3ff0_0000_0000_0000,
+            ),
+            (
+                "LayouTransformer [9]",
+                None,
+                8,
+                3,
+                0x4001_3ebf_b152_0c7c,
+                0x3ff9_5c01_a39f_bd68,
+            ),
+            ("DiffPattern-S", Some(8), 8, 8, 0, 0),
+            ("DiffPattern-L", Some(8), 24, 24, 0, 0),
+        ];
+        let got: Vec<Row> = rows
+            .iter()
+            .map(|r| {
+                (
+                    r.name.as_str(),
+                    r.topologies,
+                    r.patterns,
+                    r.legal,
+                    r.diversity.to_bits(),
+                    r.diversity_legal.to_bits(),
+                )
+            })
+            .collect();
+        assert_eq!(got, expected);
+        assert_eq!(rng.next_u64(), 0xa9b9_75b1_8159_d9fe);
     }
 }

@@ -53,13 +53,15 @@ impl PatternLibrary {
     }
 
     /// The diversity `H` (paper Eq. 4): Shannon entropy, in bits, of the
-    /// complexity distribution. An empty library has diversity zero.
+    /// complexity distribution. An empty or one-complexity library has
+    /// diversity `+0.0`.
     pub fn diversity(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let n = self.total as f64;
-        -self
+        // `0.0 - x` rather than `-x`: a zero sum must not become `-0.0`.
+        0.0 - self
             .counts
             .values()
             .map(|&c| {
@@ -117,6 +119,14 @@ mod tests {
         assert_eq!(lib.len(), 100);
         assert_eq!(lib.distinct(), 1);
         assert!(lib.diversity().abs() < 1e-12);
+    }
+
+    #[test]
+    fn one_complexity_diversity_is_positive_zero() {
+        for n in [1, 2, 100] {
+            let lib: PatternLibrary = std::iter::repeat_n((3, 4), n).collect();
+            assert_eq!(lib.diversity().to_bits(), 0, "{n} patterns");
+        }
     }
 
     #[test]

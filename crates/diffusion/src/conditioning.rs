@@ -83,6 +83,18 @@ impl FrozenRegion {
         !self.mask.iter().any(|&m| m)
     }
 
+    /// `true` when `bits`, a channel-major tensor of this region's length,
+    /// carries every frozen entry's value: the inpainting contract checked
+    /// on a delivered pattern.
+    pub fn holds(&self, bits: &[bool]) -> bool {
+        bits.len() == self.len()
+            && self
+                .mask
+                .iter()
+                .zip(self.bits.iter().zip(bits))
+                .all(|(&frozen, (&want, &got))| !frozen || want == got)
+    }
+
     /// Overwrites masked entries of `state` with the frozen bits q-sampled
     /// at noise level `flip` (= `b̄_k` of the step just reached): one RNG
     /// draw per masked entry, in entry order.
@@ -306,6 +318,18 @@ mod tests {
             err,
             DiffusionError::ConditioningMismatch { mask: 4, bits: 5 }
         );
+    }
+
+    #[test]
+    fn holds_checks_only_frozen_entries_and_the_length() {
+        let region = FrozenRegion::new(vec![true, false, true], vec![true, false, false]).unwrap();
+        assert!(region.holds(&[true, false, false]));
+        assert!(region.holds(&[true, true, false]), "unfrozen entry is free");
+        assert!(!region.holds(&[false, false, false]));
+        assert!(!region.holds(&[true, false, true]));
+        assert!(!region.holds(&[true, false]), "wrong length");
+        let empty = FrozenRegion::new(vec![false; 2], vec![true; 2]).unwrap();
+        assert!(empty.holds(&[false, true]));
     }
 
     #[test]

@@ -44,7 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut pipeline = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng)?;
     println!("training for {train_iters} iterations...");
     let _ = pipeline.train(train_iters, &mut rng)?;
-    let rules = pipeline.config().rules;
+    let spec = pipeline
+        .request_spec(generate)
+        .seed(env_knob("DP_SEED", 42) as u64);
 
     // Phase 1: build (or resume) the durable library. The bucket cursor
     // tells us where the last run stopped; generation restarts from that
@@ -54,9 +56,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cursor = writer.open_bucket(METHOD, RULESET, 0)? as usize;
     if cursor < generate {
         println!("generating items {cursor}..{generate} into the store...");
-        let spec = pipeline
-            .request_spec(generate)
-            .seed(env_knob("DP_SEED", 42) as u64);
         let service = PatternService::builder(Arc::new(pipeline.trained_model()?)).build()?;
         let batch = service.generate(&spec)?;
         for generated in batch.items.iter().skip(cursor) {
@@ -87,8 +86,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (min_space, min_width) = stress_metrics(pattern);
         // Proxy label: a pattern whose tightest feature sits within 25 % of
         // the rule limit is "hotspot-suspect".
-        let space_slack = min_space as f64 / rules.space_min() as f64;
-        let width_slack = min_width as f64 / rules.width_min() as f64;
+        let space_slack = min_space as f64 / spec.rules.space_min() as f64;
+        let width_slack = min_width as f64 / spec.rules.width_min() as f64;
         let stress = 1.0 / space_slack.min(width_slack);
         let label = if stress > 0.8 { "hotspot" } else { "clean" };
         if label == "hotspot" {

@@ -1,7 +1,8 @@
 //! Regenerates paper Table I: pattern diversity and legality for every
 //! method (Real / CAE / VCAE / CAE+LegalGAN / VCAE+LegalGAN /
-//! LayouTransformer / DiffPattern-S / DiffPattern-L), every generator
-//! driven through the shared [`diffpattern::PatternSource`] interface.
+//! LayouTransformer / DiffPattern-S / DiffPattern-L) through
+//! [`diffpattern::table1::run`], which fits the baselines itself and runs
+//! both DiffPattern rows through one [`diffpattern::PatternService`].
 //!
 //! ```text
 //! cargo run --release --example table1_comparison
@@ -10,7 +11,10 @@
 //! Environment knobs: `DP_TRAIN_ITERS` (diffusion, default 300),
 //! `DP_GENERATE` (patterns per method, default 100; the paper uses
 //! 100 000), `DP_AE_ITERS` (baseline training, default 300),
-//! `DP_THREADS` (default 0 = all cores), `DP_SEED`.
+//! `DP_VARIANTS` (DiffPattern-L patterns per topology, default 10),
+//! `DP_THREADS` (default 0 = all cores), `DP_SEED`. The output depends
+//! only on the knobs: two runs with the same settings print the same
+//! table.
 
 use diffpattern::table1::{self, Table1Config};
 use diffpattern::{metrics, PatternService, Pipeline, PipelineConfig};

@@ -2,7 +2,7 @@
 //! map to DRC-clean patterns through `PatternService`.
 
 use diffpattern::drc::check_pattern;
-use diffpattern::{PatternService, Pipeline, PipelineConfig};
+use diffpattern::{PatternService, Pipeline, PipelineConfig, RequestSpec};
 use rand::SeedableRng;
 use std::sync::Arc;
 
@@ -56,11 +56,12 @@ fn service_report_is_consistent() {
 #[test]
 fn strict_prefilter_rejects_instead_of_repairing() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-    let mut config = PipelineConfig::tiny();
-    config.repair_bowties = false;
-    let mut pipeline = Pipeline::from_synthetic_map(config, &mut rng).unwrap();
+    let mut pipeline = Pipeline::from_synthetic_map(PipelineConfig::tiny(), &mut rng).unwrap();
     let _ = pipeline.train(3, &mut rng).unwrap();
-    let spec = pipeline.request_spec(2).seed(13);
+    let spec = RequestSpec {
+        repair_bowties: false,
+        ..pipeline.request_spec(2).seed(13)
+    };
     let model = Arc::new(pipeline.into_trained_model().unwrap());
     let (topos, report) = PatternService::builder(model)
         .build()

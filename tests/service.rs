@@ -6,8 +6,8 @@
 use diffpattern::drc::{check_pattern, DesignRules};
 use diffpattern::legalize::SolverConfig;
 use diffpattern::{
-    ConfigError, DiffusionSource, Generated, Generation, PatternService, PatternSource, Pipeline,
-    PipelineConfig, PipelineError, RecvPoll, RequestSpec, TrainedModel,
+    ConfigError, Generated, Generation, PatternService, Pipeline, PipelineConfig, PipelineError,
+    RecvPoll, RequestSpec, TrainedModel,
 };
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -460,23 +460,6 @@ fn model_save_load_round_trip_generates_identically() {
         service(&model, 2).generate(&spec).unwrap().items,
         service(&restored, 2).generate(&spec).unwrap().items
     );
-}
-
-#[test]
-fn pattern_source_interface_drives_the_service() {
-    let (model, base) = trained(55, 4);
-    let service = service(&model, 1);
-    let spec = base.seed(2);
-    let rules = spec.rules;
-    let mut source: Box<dyn PatternSource + '_> =
-        Box::new(DiffusionSource::new(&service, spec, "DiffPattern-S"));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-    let batch = source.generate(3, &mut rng).unwrap();
-    assert_eq!(source.name(), "DiffPattern-S");
-    assert_eq!(batch.topologies, Some(batch.patterns.len()));
-    for p in &batch.patterns {
-        assert!(check_pattern(p, &rules).is_clean());
-    }
 }
 
 #[test]
