@@ -276,7 +276,8 @@ fn parse_rect(s: &str, side: usize) -> Result<(usize, usize, usize, usize), Stri
     let [x, y, w, h] = parts[..] else {
         return Err(format!("--freeze-rect expects four values (got `{s}`)"));
     };
-    if w == 0 || h == 0 || x + w > side || y + h > side {
+    let fits = |start: usize, len: usize| start.checked_add(len).is_some_and(|end| end <= side);
+    if w == 0 || h == 0 || !fits(x, w) || !fits(y, h) {
         return Err(format!(
             "--freeze-rect {x},{y},{w},{h} does not fit the {side}x{side} topology matrix"
         ));
@@ -929,6 +930,15 @@ mod tests {
             ("", "missing command"),
         ] {
             assert!(rejected(line).contains(why), "{line}: {}", rejected(line));
+        }
+    }
+
+    #[test]
+    fn freeze_rects_that_overflow_are_rejected() {
+        assert_eq!(parse_rect("0,0,8,8", 32), Ok((0, 0, 8, 8)));
+        for rect in ["18446744073709551615,0,2,1", "0,18446744073709551615,1,2"] {
+            let err = parse_rect(rect, 32).unwrap_err();
+            assert!(err.contains("does not fit"), "{rect}: {err}");
         }
     }
 

@@ -163,8 +163,7 @@ pub struct PipelineReport {
     /// Topologies whose bow-ties were repaired instead of rejected
     /// (only with [`RequestSpec::repair_bowties`]).
     pub prefilter_repaired: usize,
-    /// Topologies the solver could not legalize (including
-    /// requested-but-unsolved DiffPattern-L variants).
+    /// Topologies the solver could not legalize.
     pub solver_failures: usize,
     /// Legal patterns produced.
     pub legal_patterns: usize,

@@ -66,4 +66,4 @@ mod solver;
 
 pub use error::SolveError;
 pub use rounding::round_preserving_sum;
-pub use solver::{Init, Solution, SolveManyReport, SolveStats, Solver, SolverConfig};
+pub use solver::{Init, Solution, SolveStats, Solver, SolverConfig};

@@ -1,35 +1,19 @@
-//! Incremental diversity accounting (paper Definition 1).
+//! Per-bucket diversity accounting (paper Definition 1).
 //!
 //! The paper's diversity metric is the Shannon entropy, in bits, of the
-//! library's complexity distribution. The table1 harness computes it
-//! one-shot via [`dp_datagen::PatternLibrary::diversity`]; this module
-//! maintains the same quantity *online*, O(1) per inserted pattern.
-//!
-//! Two figures are exposed:
-//!
-//! * [`DiversityMeter::diversity`] delegates to an embedded
-//!   [`PatternLibrary`], so it is **bit-for-bit identical** to the
-//!   one-shot computation on the same multiset — by construction, not
-//!   by numerical luck.
-//! * [`DiversityMeter::running_entropy`] is the O(1) update: it
-//!   maintains `S = Σ c·log₂c` across count changes and evaluates
-//!   `H = log₂N − S/N` without touching the histogram. It agrees with
-//!   the exact figure to floating-point accumulation error (pinned to
-//!   `1e-9` in tests) and is what the hot ingest path reports.
+//! library's complexity distribution. [`DiversityMeter`] records one
+//! complexity pair per stored pattern into an embedded
+//! [`PatternLibrary`] and reports [`DiversityMeter::diversity`] by
+//! delegating to [`PatternLibrary::diversity`], the computation the
+//! table1 harness runs, so the two are **bit-for-bit identical** on the
+//! same multiset — by construction, not by numerical luck.
 
 use dp_datagen::PatternLibrary;
-use std::collections::BTreeMap;
 
-/// Online complexity histogram + Shannon entropy for one library bucket.
-///
-/// The histogram is a `BTreeMap` so any future iteration (debug dumps,
-/// merges, heat maps) is in deterministic key order — this type feeds
-/// `results.md`, where byte-stability across runs is a contract.
+/// Complexity histogram + Shannon entropy for one library bucket.
 #[derive(Debug, Clone, Default)]
 pub struct DiversityMeter {
     lib: PatternLibrary,
-    counts: BTreeMap<(usize, usize), usize>,
-    sum_clog: f64,
 }
 
 impl DiversityMeter {
@@ -38,16 +22,8 @@ impl DiversityMeter {
         Self::default()
     }
 
-    /// Records one pattern by its core complexity, O(1).
+    /// Records one pattern by its core complexity.
     pub fn add(&mut self, cx: usize, cy: usize) {
-        let c = self.counts.entry((cx, cy)).or_insert(0);
-        let old = *c as f64;
-        *c += 1;
-        let new = *c as f64;
-        if *c > 1 {
-            self.sum_clog -= old * old.log2();
-        }
-        self.sum_clog += new * new.log2();
         self.lib.add_complexity(cx, cy);
     }
 
@@ -71,15 +47,6 @@ impl DiversityMeter {
     /// disagree even in the last bit.
     pub fn diversity(&self) -> f64 {
         self.lib.diversity()
-    }
-
-    /// The O(1) running entropy `log₂N − (Σ c·log₂c)/N`.
-    pub fn running_entropy(&self) -> f64 {
-        let n = self.lib.len();
-        if n == 0 {
-            return 0.0;
-        }
-        (n as f64).log2() - self.sum_clog / n as f64
     }
 
     /// The underlying histogram, for heat maps and merging.
@@ -110,24 +77,5 @@ mod tests {
         }
         assert_eq!(meter.len(), oneshot.len());
         assert_eq!(meter.distinct(), oneshot.distinct());
-    }
-
-    #[test]
-    fn running_entropy_tracks_exact_within_tolerance() {
-        let mut meter = DiversityMeter::new();
-        assert_eq!(meter.running_entropy(), 0.0);
-        let mut x = 3u64;
-        for _ in 0..2000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            meter.add((x >> 33) as usize % 12, (x >> 47) as usize % 5);
-            assert!(
-                (meter.running_entropy() - meter.diversity()).abs() < 1e-9,
-                "running {} vs exact {}",
-                meter.running_entropy(),
-                meter.diversity()
-            );
-        }
     }
 }

@@ -15,10 +15,11 @@
 //! * **Streaming dedup** — exact topology-level and Δ-variant-level
 //!   dedup at ingest, always confirmed by byte comparison (hashes only
 //!   prune candidates, they never decide).
-//! * **Online diversity accounting** — complexity histogram and
-//!   Shannon entropy updated O(1) per pattern, bit-for-bit identical to
-//!   the one-shot table1 computation, with a timestamped
-//!   `results.md`-style matrix regenerated at every checkpoint.
+//! * **Diversity accounting** — a per-bucket complexity histogram
+//!   updated at every ingest, whose Shannon entropy is computed by the
+//!   same code as the one-shot table1 figure (so bit-for-bit identical
+//!   to it), with a timestamped `results.md`-style matrix regenerated at
+//!   every checkpoint.
 //! * **Checkpoint/resume** — [`LibraryWriter`] commits durably at
 //!   segment boundaries; a killed build resumes from the last
 //!   checkpoint and converges to a library content-identical to an

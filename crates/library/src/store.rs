@@ -114,8 +114,6 @@ pub struct BucketStats {
     pub distinct_complexities: u64,
     /// Exact diversity (paper Definition 1), bits.
     pub diversity: f64,
-    /// O(1)-maintained running entropy, bits.
-    pub running_entropy: f64,
     /// Timestamp of the last change, from the checkpoint.
     pub updated: String,
 }
@@ -186,7 +184,6 @@ impl BucketState {
             topologies: self.topos.values().map(|g| g.len() as u64).sum(),
             distinct_complexities: self.meter.distinct() as u64,
             diversity: self.meter.diversity(),
-            running_entropy: self.meter.running_entropy(),
             updated: self.updated.clone(),
         }
     }

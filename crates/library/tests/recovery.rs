@@ -441,6 +441,5 @@ fn incremental_entropy_matches_one_shot_bit_for_bit() {
             .to_bits(),
         oneshot.diversity().to_bits()
     );
-    assert!((s.running_entropy - s.diversity).abs() < 1e-9);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -11,16 +11,8 @@ pub fn silu(x: &Tensor) -> Tensor {
 /// path.
 pub fn silu_in_place(x: &mut Tensor) {
     for v in x.data_mut() {
-        *v = silu_val(*v);
+        *v *= sigmoid(*v);
     }
-}
-
-/// Scalar SiLU, shared by every activation path (including the fused GEMM
-/// epilogues) so they all stay bit-equal: `v * sigmoid(v)` with `sigmoid`
-/// evaluated exactly as the layer-level code always has.
-#[inline]
-pub(crate) fn silu_val(v: f32) -> f32 {
-    v * sigmoid(v)
 }
 
 /// Gradient of SiLU: given the forward input `x` and upstream gradient

@@ -1,8 +1,7 @@
 use crate::gemm::{
-    gemm_packed, pack_a_into, pack_a_transposed_into, packed_len, transpose_into, Epilogue,
-    GroupNormSilu, MR,
+    gemm_packed, pack_a_into, pack_a_transposed_into, packed_len, transpose_into, Epilogue, MR,
 };
-use crate::{GroupNorm, Param, Tensor, Workspace};
+use crate::{Param, Tensor, Workspace};
 use rand::Rng;
 
 /// 2-D convolution over NCHW tensors, implemented as im2col + GEMM.
@@ -127,42 +126,6 @@ impl Conv2d {
     ///
     /// Same conditions as [`Conv2d::forward`].
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.infer_impl(x, None, ws)
-    }
-
-    /// Convolution with the residual-block mid-section fused into the GEMM
-    /// epilogue: per batch item, the conv output has `row_extra`'s `(n,
-    /// out_c)` row broadcast-added (the time-embedding projection), is
-    /// group-normalised with `norm`'s parameters per `(item, group)`, and
-    /// passed through SiLU — all while the `(out_c, L)` product block is
-    /// still hot. Bit-identical to `infer` + `add_time_bias` +
-    /// `norm.infer` + `silu_in_place` (pinned by `tests/golden_infer.rs`).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Conv2d::forward`], plus mismatched
-    /// `row_extra`/`norm` shapes.
-    pub fn infer_bias_norm_silu(
-        &self,
-        x: &Tensor,
-        row_extra: &Tensor,
-        norm: &GroupNorm,
-        ws: &mut Workspace,
-    ) -> Tensor {
-        assert_eq!(
-            row_extra.shape(),
-            &[x.shape()[0], self.out_channels()],
-            "row extra must be (batch, out_channels)"
-        );
-        self.infer_impl(x, Some((row_extra, norm)), ws)
-    }
-
-    fn infer_impl(
-        &self,
-        x: &Tensor,
-        fused: Option<(&Tensor, &GroupNorm)>,
-        ws: &mut Workspace,
-    ) -> Tensor {
         assert_eq!(x.shape().len(), 4, "conv expects NCHW input");
         assert_eq!(x.shape()[1], self.in_channels(), "channel mismatch");
         let (n, ic, h, w) = shape4(x);
@@ -199,7 +162,7 @@ impl Conv2d {
                     oc,
                     ckk,
                     l,
-                    self.item_epilogue(fused, ni, oc),
+                    Epilogue::BiasPerRow(self.bias.value.data()),
                 );
             }
         } else {
@@ -219,8 +182,7 @@ impl Conv2d {
                     cols.data_mut(),
                 );
                 // The (oc, L) product block is exactly the (oc, oh, ow)
-                // output slice of this batch item; bias (and, when fused,
-                // the whole bias/norm/SiLU finish) rides in the epilogue.
+                // output slice of this batch item; the bias initialises it.
                 gemm_packed(
                     panel,
                     cols.data(),
@@ -228,7 +190,7 @@ impl Conv2d {
                     oc,
                     ckk,
                     l,
-                    self.item_epilogue(fused, ni, oc),
+                    Epilogue::BiasPerRow(self.bias.value.data()),
                 );
             }
             ws.recycle(cols);
@@ -237,28 +199,6 @@ impl Conv2d {
             ws.recycle(t);
         }
         out
-    }
-
-    /// The per-item GEMM epilogue: plain per-row bias, or the fused
-    /// bias + time-extra + GroupNorm + SiLU finish with this item's slice
-    /// of the `(n, out_c)` extra matrix.
-    fn item_epilogue<'a>(
-        &'a self,
-        fused: Option<(&'a Tensor, &'a GroupNorm)>,
-        ni: usize,
-        oc: usize,
-    ) -> Epilogue<'a> {
-        match fused {
-            None => Epilogue::BiasPerRow(self.bias.value.data()),
-            Some((extra, norm)) => Epilogue::BiasGroupNormSilu(GroupNormSilu {
-                bias: self.bias.value.data(),
-                row_extra: Some(&extra.data()[ni * oc..(ni + 1) * oc]),
-                gamma: norm.gamma.value.data(),
-                beta: norm.beta.value.data(),
-                groups: norm.groups(),
-                eps: norm.eps(),
-            }),
-        }
     }
 
     /// Backward pass: accumulates weight/bias gradients, returns grad wrt

@@ -17,8 +17,6 @@
 //! across GEMM threads measured slower than running it serially (see the
 //! README's "Threading policy").
 
-use crate::activation::silu_val;
-use crate::norm::group_stats;
 use crate::Tensor;
 
 /// Micro-kernel height: rows of A (and of the output) processed together.
@@ -35,16 +33,8 @@ pub fn with_inner_gemm_parallelism<R>(_enabled: bool, f: impl FnOnce() -> R) -> 
     f()
 }
 
-/// How the output is initialised before accumulation, and (for the fused
-/// variants) what elementwise finish pass runs over the still-hot output
-/// once accumulation ends.
-///
-/// The fused variants exist so the layers between GEMMs — SiLU,
-/// time-bias broadcast, GroupNorm — never need a separate sweep over a
-/// cold tensor. Their finish passes reuse the exact scalar arithmetic of
-/// the standalone layers ([`crate::silu_in_place`], `GroupNorm::infer`),
-/// applied to identical f32 inputs in identical order, so a fused call is
-/// **bit-identical** to the unfused layer sequence it replaces.
+/// How the output is initialised before the product is accumulated into
+/// it.
 #[derive(Clone, Copy)]
 pub(crate) enum Epilogue<'a> {
     /// Plain product: output starts at zero.
@@ -61,79 +51,6 @@ pub(crate) enum Epilogue<'a> {
     /// `out[i][j]` starts at `bias[j]` (linear: one bias per output
     /// feature column).
     BiasPerCol(&'a [f32]),
-    /// [`Epilogue::BiasPerCol`] followed by an in-register SiLU finish:
-    /// `out[i][j] = silu(bias[j] + sum)` — a linear layer feeding an
-    /// activation (the time-embedding MLP's hidden layer).
-    BiasSiluPerCol(&'a [f32]),
-    /// [`Epilogue::BiasPerRow`] followed by the full residual-block
-    /// mid-section as a finish pass: optional per-row extra bias (the
-    /// broadcast time projection), GroupNorm over contiguous row groups,
-    /// then SiLU. See [`GroupNormSilu`].
-    BiasGroupNormSilu(GroupNormSilu<'a>),
-}
-
-/// Parameters of the fused bias + GroupNorm + SiLU finish pass.
-///
-/// The GEMM output is an `(m, n)` matrix whose rows are output channels of
-/// one batch item, so "GroupNorm over `(item, group)`" is exactly a
-/// normalisation over each contiguous block of `m / groups` rows — the
-/// same memory-order statistics `GroupNorm::infer` computes.
-#[derive(Clone, Copy)]
-pub(crate) struct GroupNormSilu<'a> {
-    /// Per-row bias the output is initialised with (conv bias).
-    pub bias: &'a [f32],
-    /// Optional per-row additive term applied after accumulation and
-    /// before the statistics (the residual block's time-embedding
-    /// projection, broadcast over each row).
-    pub row_extra: Option<&'a [f32]>,
-    /// Per-row GroupNorm scale.
-    pub gamma: &'a [f32],
-    /// Per-row GroupNorm shift.
-    pub beta: &'a [f32],
-    /// Number of row groups; must divide `m`.
-    pub groups: usize,
-    /// Variance stabiliser.
-    pub eps: f32,
-}
-
-/// Runs the elementwise finish pass of the fused epilogues over the fully
-/// accumulated `(m, n)` output. It runs once accumulation has finished,
-/// touches each element once, and must preserve the exact accumulation
-/// order of the standalone layers it replaces.
-fn apply_epilogue_finish(epilogue: &Epilogue<'_>, out: &mut [f32], m: usize, n: usize) {
-    match epilogue {
-        Epilogue::Zero
-        | Epilogue::Accumulate
-        | Epilogue::BiasPerRow(_)
-        | Epilogue::BiasPerCol(_) => {}
-        Epilogue::BiasSiluPerCol(_) => {
-            for v in out.iter_mut() {
-                *v = silu_val(*v);
-            }
-        }
-        Epilogue::BiasGroupNormSilu(gns) => {
-            if let Some(extra) = gns.row_extra {
-                for (row, &ev) in out.chunks_mut(n).zip(extra) {
-                    for v in row {
-                        *v += ev;
-                    }
-                }
-            }
-            let cg = m / gns.groups;
-            let group_len = (cg * n) as f32;
-            for (g, chunk) in out.chunks_mut(cg * n).enumerate() {
-                let (mean, inv_std) = group_stats(chunk, group_len, gns.eps);
-                for (ci, row) in chunk.chunks_mut(n).enumerate() {
-                    let gamma = gns.gamma[g * cg + ci];
-                    let beta = gns.beta[g * cg + ci];
-                    for v in row {
-                        let xhat = (*v - mean) * inv_std;
-                        *v = silu_val(gamma * xhat + beta);
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Length of the packed representation of an `(m, k)` A matrix.
@@ -184,8 +101,8 @@ pub(crate) fn pack_a_transposed_into(at: &[f32], m: usize, k: usize, dst: &mut [
     }
 }
 
-/// Computes `out (m x n) = unpack(packed_a) (m x k) * b (k x n)` plus the
-/// fused [`Epilogue`], on the calling thread.
+/// Computes `out (m x n) = unpack(packed_a) (m x k) * b (k x n)`, with
+/// `out` initialised as the [`Epilogue`] says, on the calling thread.
 pub(crate) fn gemm_packed(
     packed_a: &[f32],
     b: &[f32],
@@ -207,31 +124,15 @@ pub(crate) fn gemm_packed(
                 row.fill(bv);
             }
         }
-        Epilogue::BiasPerCol(bias) | Epilogue::BiasSiluPerCol(bias) => {
+        Epilogue::BiasPerCol(bias) => {
             assert_eq!(bias.len(), n, "per-column bias length");
             for row in out.chunks_mut(n) {
                 row.copy_from_slice(bias);
             }
         }
-        Epilogue::BiasGroupNormSilu(gns) => {
-            assert_eq!(gns.bias.len(), m, "per-row bias length");
-            assert_eq!(gns.gamma.len(), m, "gamma length");
-            assert_eq!(gns.beta.len(), m, "beta length");
-            assert!(
-                gns.groups > 0 && m.is_multiple_of(gns.groups),
-                "groups must divide output rows"
-            );
-            if let Some(extra) = gns.row_extra {
-                assert_eq!(extra.len(), m, "row extra length");
-            }
-            for (row, &bv) in out.chunks_mut(n).zip(gns.bias) {
-                row.fill(bv);
-            }
-        }
     }
 
     gemm_blocks(packed_a, b, out, m, k, n);
-    apply_epilogue_finish(&epilogue, out, m, n);
 }
 
 /// Micro-kernel width: output columns accumulated in registers per tile.
@@ -483,94 +384,6 @@ mod tests {
                 assert!((out[i * n + j] - (base[i * n + j] + 10.0 + j as f32)).abs() < 1e-4);
             }
         }
-    }
-
-    #[test]
-    fn fused_epilogues_match_unfused_passes_bit_exactly() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let (m, k, n) = (8, 7, 10);
-        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
-        let col_bias: Vec<f32> = (0..n).map(|j| j as f32 * 0.3 - 1.0).collect();
-        let row_bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.2 - 0.5).collect();
-        let extra: Vec<f32> = (0..m).map(|i| 0.1 * i as f32).collect();
-        let gamma: Vec<f32> = (0..m).map(|i| 1.0 + 0.05 * i as f32).collect();
-        let beta: Vec<f32> = (0..m).map(|i| -0.2 + 0.01 * i as f32).collect();
-        let mut panel = vec![0.0f32; packed_len(m, k)];
-        pack_a_into(a.data(), m, k, &mut panel);
-
-        // BiasSiluPerCol == BiasPerCol then elementwise SiLU.
-        let mut fused = vec![0.0f32; m * n];
-        gemm_packed(
-            &panel,
-            b.data(),
-            &mut fused,
-            m,
-            k,
-            n,
-            Epilogue::BiasSiluPerCol(&col_bias),
-        );
-        let mut reference = vec![0.0f32; m * n];
-        gemm_packed(
-            &panel,
-            b.data(),
-            &mut reference,
-            m,
-            k,
-            n,
-            Epilogue::BiasPerCol(&col_bias),
-        );
-        for v in reference.iter_mut() {
-            *v = crate::activation::silu_val(*v);
-        }
-        assert_eq!(fused, reference);
-
-        // BiasGroupNormSilu == BiasPerRow, then row extra, per-group
-        // normalisation over contiguous row blocks, affine, SiLU.
-        let groups = 4;
-        let mut fused = vec![0.0f32; m * n];
-        gemm_packed(
-            &panel,
-            b.data(),
-            &mut fused,
-            m,
-            k,
-            n,
-            Epilogue::BiasGroupNormSilu(GroupNormSilu {
-                bias: &row_bias,
-                row_extra: Some(&extra),
-                gamma: &gamma,
-                beta: &beta,
-                groups,
-                eps: 1e-5,
-            }),
-        );
-        let mut reference = vec![0.0f32; m * n];
-        gemm_packed(
-            &panel,
-            b.data(),
-            &mut reference,
-            m,
-            k,
-            n,
-            Epilogue::BiasPerRow(&row_bias),
-        );
-        for (row, &ev) in reference.chunks_mut(n).zip(&extra) {
-            for v in row {
-                *v += ev;
-            }
-        }
-        let cg = m / groups;
-        for (g, chunk) in reference.chunks_mut(cg * n).enumerate() {
-            let (mean, inv_std) = crate::norm::group_stats(chunk, (cg * n) as f32, 1e-5);
-            for (ci, row) in chunk.chunks_mut(n).enumerate() {
-                for v in row {
-                    let xhat = (*v - mean) * inv_std;
-                    *v = crate::activation::silu_val(gamma[g * cg + ci] * xhat + beta[g * cg + ci]);
-                }
-            }
-        }
-        assert_eq!(fused, reference);
     }
 
     #[test]

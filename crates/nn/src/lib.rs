@@ -44,8 +44,9 @@
 //! `forward`, `infer`, `backward` (the list reversed), `params` and
 //! `prepack` all walk that list, so the list order is also the parameter
 //! order [`save_params`] writes. Training and inference stay two walks
-//! because the fused inference kernels never materialise the
-//! pre-activations `backward` reads.
+//! because `forward` takes `&mut self` and leaves the caches `backward`
+//! takes, while `infer` borrows `&self` and recycles [`Workspace`]
+//! buffers; both run the same layers in the same order.
 //!
 //! # Example
 //!

@@ -85,22 +85,6 @@ impl Linear {
     ///
     /// Same conditions as [`Linear::forward`].
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.infer_impl(x, ws, false)
-    }
-
-    /// Linear layer with SiLU fused into the GEMM epilogue:
-    /// bit-identical to [`Linear::infer`] + [`crate::silu_in_place`] (the
-    /// biased accumulator value is the same f32 the activation reads),
-    /// without the extra pass — the time-embedding MLP's hidden layer.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Linear::forward`].
-    pub fn infer_silu(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.infer_impl(x, ws, true)
-    }
-
-    fn infer_impl(&self, x: &Tensor, ws: &mut Workspace, fuse_silu: bool) -> Tensor {
         assert_eq!(x.shape().len(), 2, "linear expects 2-D input");
         assert_eq!(x.shape()[1], self.in_features(), "feature mismatch");
         let (batch, inf, outf) = (x.shape()[0], self.in_features(), self.out_features());
@@ -122,12 +106,7 @@ impl Linear {
         let mut panel = ws.take_uninit(&[packed_len(batch, inf)]);
         pack_a_into(x.data(), batch, inf, panel.data_mut());
         let mut y = ws.take_uninit(&[batch, outf]);
-        let bias = self.bias.value.data();
-        let epilogue = if fuse_silu {
-            Epilogue::BiasSiluPerCol(bias)
-        } else {
-            Epilogue::BiasPerCol(bias)
-        };
+        let epilogue = Epilogue::BiasPerCol(self.bias.value.data());
         gemm_packed(panel.data(), wt, y.data_mut(), batch, inf, outf, epilogue);
         ws.recycle(panel);
         if let Some(t) = fresh_wt {
@@ -193,23 +172,45 @@ mod tests {
     }
 
     #[test]
-    fn infer_silu_matches_infer_then_silu_bit_exactly() {
+    fn prepacked_infer_matches_forward_bit_exactly() {
+        // The time MLP and every residual block's time projection run
+        // `infer` on prepacked weights where training runs `forward`.
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let mut layer = Linear::new(5, 9, &mut rng);
         for (i, b) in layer.bias.value.data_mut().iter_mut().enumerate() {
             *b = i as f32 * 0.1 - 0.4;
         }
         let x = Tensor::randn(&[3, 5], 1.5, &mut rng);
+        let reference = layer.forward(&x);
         let mut ws = Workspace::new();
-        for prepacked in [false, true] {
-            if prepacked {
-                layer.prepack();
+        assert_eq!(layer.infer(&x, &mut ws), reference);
+        layer.prepack();
+        assert!(layer.is_prepacked());
+        // Cold and warm workspace alike.
+        assert_eq!(layer.infer(&x, &mut ws), reference);
+        assert_eq!(layer.infer(&x, &mut ws), reference);
+    }
+
+    #[test]
+    fn resumed_training_discards_stale_pack() {
+        // prepack() then keep training: forward must compute from the
+        // live weights, not the frozen transposed copy.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut layer = Linear::new(4, 3, &mut rng);
+        let x = Tensor::randn(&[2, 4], 1.0, &mut rng);
+        layer.prepack();
+        let mut reference = layer.clone();
+        reference.packed_wt = None;
+        // Simulate an optimiser step between prepack and the next forward.
+        for l in [&mut layer, &mut reference] {
+            for v in l.weight.value.data_mut() {
+                *v += 0.25;
             }
-            let fused = layer.infer_silu(&x, &mut ws);
-            let mut reference = layer.infer(&x, &mut ws);
-            crate::silu_in_place(&mut reference);
-            assert_eq!(fused, reference, "prepacked={prepacked}");
         }
+        assert!(layer.is_prepacked());
+        let live = layer.forward(&x);
+        assert!(!layer.is_prepacked(), "forward must drop the stale pack");
+        assert_eq!(live, reference.forward(&x));
     }
 
     #[test]

@@ -1,4 +1,3 @@
-use crate::activation::silu_val;
 use crate::{Param, Tensor, Workspace};
 
 /// Group normalisation over NCHW tensors (the DDPM U-Net's normaliser).
@@ -42,12 +41,6 @@ impl GroupNorm {
         self.groups
     }
 
-    /// The variance stabiliser, for fused kernels that replicate this
-    /// layer's arithmetic outside it.
-    pub(crate) fn eps(&self) -> f32 {
-        self.eps
-    }
-
     /// Forward pass: [`GroupNorm::infer`], caching the input `backward`
     /// reads.
     ///
@@ -61,39 +54,14 @@ impl GroupNorm {
     }
 
     /// Inference forward pass from a shared reference: no caching; the
-    /// output tensor comes from `ws`.
+    /// output tensor comes from `ws`. This is the layer's only
+    /// normalisation loop: `gamma * x̂ + beta` per element, with the `x̂`
+    /// that `backward` recomputes.
     ///
     /// # Panics
     ///
     /// Same conditions as [`GroupNorm::forward`].
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.normalize(x, ws, |v| v)
-    }
-
-    /// GroupNorm immediately followed by SiLU, in one pass: bit-identical
-    /// to [`GroupNorm::infer`] + [`crate::silu_in_place`] (the normalised
-    /// affine value is materialised as the same f32 before the activation
-    /// reads it), but the intermediate tensor is never written out cold.
-    /// This is the norm-SiLU prefix of every residual block and of the
-    /// output head.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`GroupNorm::forward`].
-    pub fn infer_silu(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        self.normalize(x, ws, silu_val)
-    }
-
-    fn check_input(&self, x: &Tensor) -> (usize, usize, usize, usize) {
-        assert_eq!(x.shape().len(), 4, "groupnorm expects NCHW input");
-        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-        assert_eq!(c, self.gamma.value.len(), "channel mismatch");
-        (n, c, h, w)
-    }
-
-    /// The normalisation loop every forward path runs: `finish(gamma *
-    /// x̂ + beta)` per element, with `x̂` as [`normalized`] computes it.
-    fn normalize(&self, x: &Tensor, ws: &mut Workspace, finish: impl Fn(f32) -> f32) -> Tensor {
         let (n, c, h, w) = self.check_input(x);
         let (cg, hw) = (c / self.groups, h * w);
         let mut out = ws.take_uninit(x.shape());
@@ -107,12 +75,19 @@ impl GroupNorm {
                     let gamma = self.gamma.value.data()[g * cg + ci];
                     let beta = self.beta.value.data()[g * cg + ci];
                     for (o, &v) in orow.iter_mut().zip(xrow) {
-                        *o = finish(gamma * normalized(v, mean, inv_std) + beta);
+                        *o = gamma * normalized(v, mean, inv_std) + beta;
                     }
                 }
             }
         }
         out
+    }
+
+    fn check_input(&self, x: &Tensor) -> (usize, usize, usize, usize) {
+        assert_eq!(x.shape().len(), 4, "groupnorm expects NCHW input");
+        let (n, c, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+        assert_eq!(c, self.gamma.value.len(), "channel mismatch");
+        (n, c, h, w)
     }
 
     /// Backward pass: accumulates `gamma`/`beta` gradients, returns grad wrt
@@ -203,9 +178,9 @@ fn normalized(v: f32, mean: f32, inv_std: f32) -> f32 {
 }
 
 /// Mean and inverse standard deviation of one `(batch, group)` slice,
-/// accumulated in memory order (the order every code path shares so
-/// `forward`, `infer` and the fused GEMM epilogues stay bit-equal).
-pub(crate) fn group_stats(xs: &[f32], group_len: f32, eps: f32) -> (f32, f32) {
+/// accumulated in memory order (the order `infer` and `backward` share,
+/// so the statistics `backward` recomputes are the forward pass's).
+fn group_stats(xs: &[f32], group_len: f32, eps: f32) -> (f32, f32) {
     let mut mean = 0.0f32;
     for &v in xs {
         mean += v;
@@ -242,27 +217,6 @@ mod tests {
         let x = Tensor::randn(&[2, 6, 4, 4], 2.0, &mut rng);
         let mut ws = Workspace::new();
         assert_eq!(norm.infer(&x, &mut ws), norm.forward(&x));
-    }
-
-    #[test]
-    fn infer_silu_matches_infer_then_silu_bit_exactly() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
-        let mut norm = GroupNorm::new(2, 6);
-        for (g, b) in norm
-            .gamma
-            .value
-            .data_mut()
-            .iter_mut()
-            .zip([0.5, -1.0, 2.0, 1.5, 0.1, -0.3])
-        {
-            *g = b;
-        }
-        let x = Tensor::randn(&[3, 6, 4, 4], 2.0, &mut rng);
-        let mut ws = Workspace::new();
-        let fused = norm.infer_silu(&x, &mut ws);
-        let mut reference = norm.infer(&x, &mut ws);
-        crate::silu_in_place(&mut reference);
-        assert_eq!(fused, reference);
     }
 
     #[test]

@@ -105,24 +105,27 @@ impl ResBlock {
         out.add(&skipped)
     }
 
-    /// Inference-only forward from a shared reference: no caches, dropout
-    /// is the identity (evaluation semantics), scratch from `ws`.
+    /// Inference-only forward from a shared reference: the layer sequence
+    /// of [`ResBlock::forward`] without caches, with dropout as the
+    /// identity (evaluation semantics) and scratch from `ws`.
     ///
     /// `stemb` is the **already SiLU-activated** time embedding: every
     /// block applies the same activation to the same tensor, so the
     /// U-Net computes it once per call instead of copy+SiLU per block.
-    /// The whole norm→SiLU→conv→time-bias→norm→SiLU mid-section runs as
-    /// two fused kernels ([`GroupNorm::infer_silu`] and
-    /// [`Conv2d::infer_bias_norm_silu`]), each bit-identical to the layer
-    /// sequence it replaces; conv2 and the skip add are unchanged.
+    // dp-lint: zero-alloc
     fn infer(&self, x: &Tensor, stemb: &Tensor, ws: &mut Workspace) -> Tensor {
-        let hn = self.norm1.infer_silu(x, ws);
-        let t = self.temb_proj.infer(stemb, ws);
-        let h = self.conv1.infer_bias_norm_silu(&hn, &t, &self.norm2, ws);
+        let mut hn = self.norm1.infer(x, ws);
+        silu_in_place(&mut hn);
+        let mut h = self.conv1.infer(&hn, ws);
         ws.recycle(hn);
+        let t = self.temb_proj.infer(stemb, ws);
+        add_time_bias(&mut h, &t);
         ws.recycle(t);
-        let mut out = self.conv2.infer(&h, ws);
+        let mut hn = self.norm2.infer(&h, ws);
         ws.recycle(h);
+        silu_in_place(&mut hn);
+        let mut out = self.conv2.infer(&hn, ws);
+        ws.recycle(hn);
         match &self.skip {
             Some(proj) => {
                 let skipped = proj.infer(x, ws);
@@ -515,11 +518,11 @@ impl UNet {
     pub fn infer(&self, x: &Tensor, steps: &[usize], ws: &mut Workspace) -> Tensor {
         self.check_input(x, steps);
         let emb = sinusoidal_embedding_ws(steps, self.config.time_dim, ws);
-        // Hidden-layer SiLU fused into the GEMM epilogue; the final
-        // embedding is activated once here (every residual block consumes
-        // silu(temb), so per-block copies are pure waste).
-        let t1 = self.time_lin1.infer_silu(&emb, ws);
+        // The final embedding is activated once here (every residual
+        // block consumes silu(temb), so per-block copies are pure waste).
+        let mut t1 = self.time_lin1.infer(&emb, ws);
         ws.recycle(emb);
+        silu_in_place(&mut t1);
         let mut temb = self.time_lin2.infer(&t1, ws);
         ws.recycle(t1);
         silu_in_place(&mut temb);
@@ -559,8 +562,9 @@ impl UNet {
         ws.recycle(temb);
 
         let h = h.expect("the body ends in a decoder block");
-        let hn = self.head_norm.infer_silu(&h, ws);
+        let mut hn = self.head_norm.infer(&h, ws);
         ws.recycle(h);
+        silu_in_place(&mut hn);
         let out = self.head_conv.infer(&hn, ws);
         ws.recycle(hn);
         out
@@ -868,6 +872,38 @@ mod tests {
         net.prepack();
         assert_eq!(net.infer(&x, &[1, 77], &mut ws), via_infer);
         assert_eq!(net.infer(&x, &[1, 77], &mut Workspace::new()), via_infer);
+    }
+
+    #[test]
+    fn res_block_infer_matches_forward_bit_exactly() {
+        // `ResBlock::infer` runs `forward`'s layer sequence one kernel per
+        // layer; with and without the 1x1 skip projection, and with
+        // non-trivial biases and affine norms so every layer moves values.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+        let config = UNetConfig {
+            dropout: 0.5, // evaluation semantics: identity on both paths
+            ..tiny_config()
+        };
+        for (in_c, out_c) in [(4, 4), (4, 8)] {
+            let mut block = ResBlock::new(in_c, out_c, &config, &mut rng);
+            for p in block.params_mut() {
+                if p.value.shape().len() == 1 {
+                    for v in p.value.data_mut() {
+                        *v += rng.gen_range(-0.5f32..0.5);
+                    }
+                }
+            }
+            let x = Tensor::randn(&[2, in_c, 6, 6], 1.0, &mut rng);
+            let temb = Tensor::randn(&[2, config.time_dim], 1.0, &mut rng);
+            let mut stemb = temb.clone();
+            silu_in_place(&mut stemb);
+            let reference = block.forward(&x, &temb, &mut rng);
+            let mut ws = Workspace::new();
+            let label = format!("{in_c}->{out_c}");
+            assert_eq!(block.infer(&x, &stemb, &mut ws), reference, "{label}");
+            block.prepack();
+            assert_eq!(block.infer(&x, &stemb, &mut ws), reference, "{label}");
+        }
     }
 
     #[test]

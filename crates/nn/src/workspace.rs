@@ -35,8 +35,8 @@ impl Workspace {
     }
 
     /// Takes a tensor of the given shape with **unspecified contents**
-    /// (callers must fully overwrite it). Reuses a pooled buffer when one
-    /// with sufficient capacity exists; otherwise allocates (a one-time
+    /// (callers must fully overwrite it). Reuses the smallest pooled
+    /// buffer with sufficient capacity; otherwise allocates (a one-time
     /// cost while the pool warms up).
     ///
     /// # Panics
@@ -112,10 +112,18 @@ impl Workspace {
         self.probs = probs;
     }
 
-    /// Pops a pooled buffer able to hold `len` elements without
-    /// reallocating, or the best available fallback.
+    /// Pops the smallest pooled buffer able to hold `len` elements without
+    /// reallocating (best fit), or allocates a new one. Under first fit a
+    /// small take could claim a large buffer that a later, larger take of
+    /// the same evaluation then had to allocate afresh, so whether the
+    /// pool settled hung on the order of takes: with a residual block's
+    /// time projection taken before its first convolution, the
+    /// shipped-width sampler still allocated after two warm-up chains.
     fn grab(&mut self, len: usize) -> Vec<f32> {
-        match self.pool.iter().position(|b| b.capacity() >= len) {
+        let best = (0..self.pool.len())
+            .filter(|&i| self.pool[i].capacity() >= len)
+            .min_by_key(|&i| self.pool[i].capacity());
+        match best {
             Some(i) => {
                 let mut buf = self.pool.swap_remove(i);
                 buf.truncate(len);
@@ -146,6 +154,31 @@ mod tests {
         let t3 = ws.take_uninit(&[2, 2]);
         assert_eq!(t3.data().as_ptr(), ptr);
         assert_eq!(t3.len(), 4);
+    }
+
+    #[test]
+    fn take_serves_the_smallest_buffer_that_fits() {
+        let mut ws = Workspace::new();
+        ws.recycle(Tensor::from_vec(&[64], vec![0.0; 64]));
+        ws.recycle(Tensor::from_vec(&[16], vec![0.0; 16]));
+        let t = ws.take_uninit(&[16]);
+        assert_eq!(t.into_vec().capacity(), 16);
+        assert_eq!(ws.pool.len(), 1);
+        assert_eq!(ws.pool[0].capacity(), 64);
+    }
+
+    #[test]
+    fn take_larger_than_every_pooled_buffer_allocates_afresh() {
+        // No pooled buffer is grown in place: a take that none fits gets a
+        // new buffer and leaves the pool as it was.
+        let mut ws = Workspace::new();
+        ws.recycle(Tensor::from_vec(&[8], vec![0.0; 8]));
+        ws.recycle(Tensor::from_vec(&[16], vec![0.0; 16]));
+        let t = ws.take_uninit(&[17]);
+        assert_eq!(t.len(), 17);
+        let mut caps: Vec<usize> = ws.pool.iter().map(Vec::capacity).collect();
+        caps.sort_unstable();
+        assert_eq!(caps, [8, 16]);
     }
 
     #[test]

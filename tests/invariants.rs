@@ -1,6 +1,7 @@
 //! Cross-cutting invariants that span crate boundaries: symmetry of the
 //! DRC engine under transposition, conservation laws of the polygon
-//! tracer, and determinism of the whole pipeline under a fixed seed.
+//! tracer, determinism of the whole pipeline under a fixed seed, and the
+//! shipped U-Net inferring exactly what its training forward computes.
 
 use diffpattern::drc::{check_pattern, DesignRules};
 use diffpattern::geometry::{polygons_of_grid, BitGrid};
@@ -92,4 +93,35 @@ fn pipeline_is_deterministic_under_fixed_seed() {
         assert_eq!(x.pattern.dy(), y.pattern.dy());
         assert_eq!(x.provenance, y.provenance);
     }
+}
+
+/// `UNet::infer` (prepacked weights, workspace scratch) against the
+/// training `forward` at the shipped widths — `PipelineConfig::default()`,
+/// GroupNorm over 8 groups of 32–128 channels — which the randomized
+/// configs of `dp_nn`'s golden tests (2 groups, widths of at most 6)
+/// never reach. Two items at different steps, bit for bit. The input is
+/// 8x8, half the shipped fold side, which keeps the debug build near 2 s
+/// (about 8 s at 16x16); no layer's width or group count depends on it.
+#[test]
+fn shipped_unet_infer_matches_forward_bit_for_bit() {
+    use diffpattern::nn::{Tensor, UNet, Workspace};
+    use diffpattern::PipelineConfig;
+    let config = PipelineConfig::default();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+    let mut net = UNet::new(&config.unet_config(), &mut rng);
+    // Move every bias, GroupNorm scale and shift off its initial 0 or 1.
+    for p in net.params_mut() {
+        for v in p.value.data_mut() {
+            *v += rng.gen_range(-0.1f32..0.1);
+        }
+    }
+    let side = config.fold_side() / 2;
+    let x = Tensor::randn(&[2, config.dataset.channels, side, side], 1.0, &mut rng);
+    let steps = [3, 71];
+    let reference = net.forward(&x, &steps);
+    net.prepack();
+    let inferred = net.infer(&x, &steps, &mut Workspace::new());
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(inferred.shape(), reference.shape());
+    assert_eq!(bits(&inferred), bits(&reference));
 }

@@ -13,8 +13,9 @@
 //!    diversity bits, same `results.md`;
 //! 2. shard builds over disjoint index sub-ranges merge into exactly
 //!    the single-build library;
-//! 3. the store's O(1)-per-pattern incremental entropy equals the
-//!    one-shot [`PatternLibrary`] computation bit for bit (paper
+//! 3. the diversity of the store's per-bucket complexity histogram,
+//!    built up at ingest, equals the one-shot [`PatternLibrary`]
+//!    computation over the stored records bit for bit (paper
 //!    Definition 1, the `table1` harness's number).
 
 use diffpattern::datagen::PatternLibrary;
