@@ -141,7 +141,7 @@ pub struct RequestSpec {
     pub priority: i32,
     /// Design rules for legalization.
     pub rules: DesignRules,
-    /// Legalization solver settings.
+    /// Legalization window: the Σ Δx and Σ Δy every pattern fills.
     pub solver: SolverConfig,
     /// Reverse-sampling stride: 1 runs the full ancestral chain (paper
     /// Eq. 13), larger values use the respaced sampler with `K / stride`

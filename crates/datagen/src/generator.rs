@@ -42,16 +42,6 @@ impl GeneratorConfig {
             ..Self::default()
         }
     }
-
-    /// A map sized like a scaled-down version of the paper's 400x160 µm²
-    /// layer (1/10 in each dimension): 40x16 µm² = about 20x8 tiles.
-    pub fn paper_scaled() -> Self {
-        GeneratorConfig {
-            width: 40_000,
-            height: 16_000,
-            ..Self::default()
-        }
-    }
 }
 
 impl Default for GeneratorConfig {

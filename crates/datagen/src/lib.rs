@@ -34,13 +34,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod contacts;
 mod dataset;
 mod generator;
 mod library;
 mod tiles;
 
-pub use contacts::{generate_contact_layer, ContactConfig};
 pub use dataset::{build_dataset, Dataset, DatasetConfig, DatasetReport};
 pub use generator::{GeneratorConfig, LayoutMapGenerator};
 pub use library::PatternLibrary;

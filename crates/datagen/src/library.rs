@@ -19,7 +19,7 @@ impl PatternLibrary {
     }
 
     /// Records one pattern by its complexity pair.
-    pub fn add_complexity(&mut self, cx: usize, cy: usize) {
+    pub fn add(&mut self, cx: usize, cy: usize) {
         *self.counts.entry((cx, cy)).or_insert(0) += 1;
         self.total += 1;
     }
@@ -27,14 +27,14 @@ impl PatternLibrary {
     /// Records a squish pattern (complexity = topology shape).
     pub fn add_pattern(&mut self, pattern: &SquishPattern) {
         let (cx, cy) = pattern.complexity();
-        self.add_complexity(cx, cy);
+        self.add(cx, cy);
     }
 
     /// Records a raw topology matrix, squishing it to its canonical core
     /// first (generated topologies are padded to a fixed side).
     pub fn add_topology(&mut self, topology: &BitGrid) {
         let (cx, cy) = complexity_of_grid(topology);
-        self.add_complexity(cx, cy);
+        self.add(cx, cy);
     }
 
     /// Number of patterns recorded.
@@ -89,7 +89,7 @@ impl PatternLibrary {
 impl Extend<(usize, usize)> for PatternLibrary {
     fn extend<T: IntoIterator<Item = (usize, usize)>>(&mut self, iter: T) {
         for (cx, cy) in iter {
-            self.add_complexity(cx, cy);
+            self.add(cx, cy);
         }
     }
 }
@@ -136,7 +136,7 @@ mod tests {
         for cx in 0..4 {
             for cy in 0..4 {
                 for _ in 0..10 {
-                    lib.add_complexity(cx, cy);
+                    lib.add(cx, cy);
                 }
             }
         }
@@ -148,7 +148,7 @@ mod tests {
             for cy in 0..4 {
                 let n = if (cx, cy) == (0, 0) { 100 } else { 1 };
                 for _ in 0..n {
-                    skewed.add_complexity(cx, cy);
+                    skewed.add(cx, cy);
                 }
             }
         }
@@ -186,10 +186,10 @@ mod tests {
     fn diversity_matches_hand_computation() {
         // p = [0.5, 0.25, 0.25] -> H = 1.5 bits.
         let mut lib = PatternLibrary::new();
-        lib.add_complexity(1, 1);
-        lib.add_complexity(1, 1);
-        lib.add_complexity(2, 1);
-        lib.add_complexity(3, 1);
+        lib.add(1, 1);
+        lib.add(1, 1);
+        lib.add(2, 1);
+        lib.add(3, 1);
         assert!((lib.diversity() - 1.5).abs() < 1e-12);
     }
 }

@@ -5,31 +5,31 @@ use dp_geometry::{BitGrid, Coord};
 use dp_squish::SquishPattern;
 use rand::Rng;
 
-/// Solver configuration.
+/// Projection iterations per attempt.
+const MAX_ITERATIONS: usize = 500;
+/// Random restarts before reporting infeasibility.
+const MAX_RESTARTS: usize = 8;
+/// Slack in nm added to the linear minima during the continuous solve
+/// so integer rounding cannot break them.
+const MARGIN: f64 = 2.0;
+
+/// Solver configuration: the window the Δ vectors must fill. The
+/// budget is fixed at 9 attempts of 500 projection passes, so no
+/// configuration can make one solve run unboundedly long.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverConfig {
     /// Required Σ Δx (the tile width, paper: 2048 nm).
     pub target_width: Coord,
     /// Required Σ Δy.
     pub target_height: Coord,
-    /// Projection iterations per attempt.
-    pub max_iterations: usize,
-    /// Random restarts before reporting infeasibility.
-    pub max_restarts: usize,
-    /// Slack in nm added to the linear minima during the continuous solve
-    /// so integer rounding cannot break them.
-    pub margin: f64,
 }
 
 impl SolverConfig {
-    /// Defaults for a `width x height` window.
+    /// The configuration for a `width x height` window.
     pub fn for_window(width: Coord, height: Coord) -> Self {
         SolverConfig {
             target_width: width,
             target_height: height,
-            max_iterations: 500,
-            max_restarts: 8,
-            margin: 2.0,
         }
     }
 }
@@ -122,7 +122,7 @@ impl Solver {
         let constraints = ConstraintSet::extract(topology, &self.rules);
 
         let mut total_iterations = 0;
-        for restart in 0..=self.config.max_restarts {
+        for restart in 0..=MAX_RESTARTS {
             // Solving-E applies to the first attempt; restarts re-randomise.
             let (mut u, mut v) = match (restart, init) {
                 (0, Init::Existing(dx, dy)) => (
@@ -135,7 +135,7 @@ impl Solver {
                 ),
             };
 
-            for iteration in 0..self.config.max_iterations {
+            for iteration in 0..MAX_ITERATIONS {
                 total_iterations += 1;
                 let satisfied = self.projection_pass(&constraints, &mut u, &mut v);
                 if satisfied {
@@ -155,8 +155,8 @@ impl Solver {
             }
         }
         Err(SolveError::Infeasible {
-            iterations: self.config.max_iterations,
-            restarts: self.config.max_restarts,
+            iterations: MAX_ITERATIONS,
+            restarts: MAX_RESTARTS,
         })
     }
 
@@ -203,8 +203,8 @@ impl Solver {
     /// constraint already held (with margin) *before* any fix was applied.
     fn projection_pass(&self, cs: &ConstraintSet, u: &mut [f64], v: &mut [f64]) -> bool {
         let mut satisfied = true;
-        let width_req = self.rules.width_min() as f64 + self.config.margin;
-        let space_req = self.rules.space_min() as f64 + self.config.margin;
+        let width_req = self.rules.width_min() as f64 + MARGIN;
+        let space_req = self.rules.space_min() as f64 + MARGIN;
 
         for &(a, b) in cs.x_width() {
             satisfied &= !raise_range(u, a, b, width_req);
@@ -223,7 +223,7 @@ impl Solver {
 
         // Area constraints: one exact first-order correction per polygon.
         let span = (self.rules.area_max() - self.rules.area_min()) as f64;
-        let area_margin = (span * 0.02).min(64.0) + self.config.margin;
+        let area_margin = (span * 0.02).min(64.0) + MARGIN;
         let lo = self.rules.area_min() as f64 + area_margin;
         let hi = self.rules.area_max() as f64 - area_margin;
         for cells in cs.polygons() {
@@ -452,18 +452,39 @@ mod tests {
             .area_range(1, i128::MAX / 4)
             .build()
             .unwrap();
-        let s = Solver::new(
-            harsh,
-            SolverConfig {
-                max_iterations: 60,
-                max_restarts: 2,
-                ..SolverConfig::for_window(1000, 1000)
-            },
-        );
+        let s = Solver::new(harsh, SolverConfig::for_window(1000, 1000));
         assert!(matches!(
             s.solve(&topo, Init::Random, &mut rng),
             Err(SolveError::Infeasible { .. })
         ));
+    }
+
+    #[test]
+    fn infeasible_solve_stops_at_the_fixed_budget() {
+        // In any window a solve gives up after 9 attempts of 500 passes;
+        // the default spec's output bytes depend on these numbers.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        let topo = BitGrid::from_ascii(
+            ".#.#.#.#
+             .#.#.#.#",
+        )
+        .unwrap();
+        let harsh = DesignRules::builder()
+            .space_min(400)
+            .width_min(400)
+            .area_range(1, i128::MAX / 4)
+            .build()
+            .unwrap();
+        for (w, h) in [(1000, 1000), (2048, 2048)] {
+            let s = Solver::new(harsh, SolverConfig::for_window(w, h));
+            assert_eq!(
+                s.solve(&topo, Init::Random, &mut rng),
+                Err(SolveError::Infeasible {
+                    iterations: 500,
+                    restarts: 8
+                })
+            );
+        }
     }
 
     #[test]
@@ -503,14 +524,7 @@ mod tests {
             .area_range(1, i128::MAX / 4)
             .build()
             .unwrap();
-        let s = Solver::new(
-            harsh,
-            SolverConfig {
-                max_iterations: 40,
-                max_restarts: 1,
-                ..SolverConfig::for_window(1000, 1000)
-            },
-        );
+        let s = Solver::new(harsh, SolverConfig::for_window(1000, 1000));
         let topo = BitGrid::from_ascii(
             "........
              .#.#.#.#

@@ -12,14 +12,15 @@
 //!   each topology bucket holds its legal Δ-variants. Reads are
 //!   zero-copy-in-spirit buffered positional reads; the index is
 //!   rebuildable from segments alone.
-//! * **Streaming dedup** — exact topology-level and Δ-variant-level
-//!   dedup at ingest, always confirmed by byte comparison (hashes only
-//!   prune candidates, they never decide).
-//! * **Diversity accounting** — a per-bucket complexity histogram
-//!   updated at every ingest, whose Shannon entropy is computed by the
-//!   same code as the one-shot table1 figure (so bit-for-bit identical
-//!   to it), with a timestamped `results.md`-style matrix regenerated at
-//!   every checkpoint.
+//! * **Streaming dedup** — a pattern is dropped only when a stored
+//!   record with the same topology and Δ hashes is byte-identical to it
+//!   (hashes only prune candidates, they never decide).
+//! * **Diversity accounting** — each bucket keeps a
+//!   [`dp_datagen::PatternLibrary`] complexity histogram, updated at
+//!   every ingest, so its Shannon entropy is the one-shot table1 figure
+//!   bit for bit; a timestamped `results.md`-style matrix is regenerated
+//!   at every checkpoint. Ingest and open count a record through the
+//!   same code, so a reopened store reports the writer's counters.
 //! * **Checkpoint/resume** — [`LibraryWriter`] commits durably at
 //!   segment boundaries; a killed build resumes from the last
 //!   checkpoint and converges to a library content-identical to an
@@ -32,13 +33,14 @@
 //! produced.
 
 pub mod codec;
-pub mod diversity;
 pub mod error;
 pub mod matrix;
 pub mod store;
 
 pub use codec::{crc32, scan_frame, topology_hash, variant_hash, FrameScan, Record};
-pub use diversity::DiversityMeter;
+/// The per-bucket complexity histogram under its earlier name in this
+/// crate; new code names [`dp_datagen::PatternLibrary`] directly.
+pub use dp_datagen::PatternLibrary as DiversityMeter;
 pub use error::LibraryError;
 pub use matrix::{format_utc_timestamp, render_matrix, write_matrix, MatrixRow};
 pub use store::{

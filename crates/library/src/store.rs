@@ -27,11 +27,16 @@
 //! index, and the dedup/skip deltas since the previous record), so a
 //! killed build resumes from `next_index` and converges to content
 //! identical to an uninterrupted run.
+//!
+//! A bucket counts through two methods: `events` settles source indices
+//! that store nothing (a dedup hit, a skip, a replayed gap, a scanned
+//! record's deltas) and `push` counts one stored record. Ingest and
+//! [`Library::open`]'s scan both call them, so a reopened store holds
+//! the writer's counters by running the same code.
 
 use crate::codec::{
     crc32, fnv1a, scan_frame, topology_hash, variant_hash, Cursor, FrameScan, Record, FNV_OFFSET,
 };
-use crate::diversity::DiversityMeter;
 use crate::error::LibraryError;
 use crate::matrix::{format_utc_timestamp, write_matrix, MatrixRow};
 use dp_datagen::PatternLibrary;
@@ -84,9 +89,10 @@ pub struct RecordRef {
 /// What happened to an ingested pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestOutcome {
-    /// First pattern with this topology in its bucket.
+    /// First pattern with this topology hash in its bucket.
     NewTopology,
-    /// New Δ-variant of an already-stored topology (Fig. 7's
+    /// New pattern whose topology hash the bucket already holds: a new
+    /// Δ-variant of a stored topology (Fig. 7's
     /// one-topology-many-patterns path).
     NewVariant,
     /// Byte-identical to a stored record; dropped, counted.
@@ -108,7 +114,8 @@ pub struct BucketStats {
     pub skipped: u64,
     /// Stored records that were DRC-clean.
     pub legal: u64,
-    /// Distinct stored topologies.
+    /// Distinct topology hashes among stored records (the 64-bit hash
+    /// names the topology; a collision would count as one).
     pub topologies: u64,
     /// Distinct complexity pairs.
     pub distinct_complexities: u64,
@@ -130,11 +137,6 @@ pub struct WriterTotals {
 }
 
 #[derive(Debug, Default)]
-struct TopoGroup {
-    refs: Vec<RecordRef>,
-}
-
-#[derive(Debug, Default)]
 struct BucketState {
     base: u64,
     cursor: u64,
@@ -142,17 +144,15 @@ struct BucketState {
     duplicates: u64,
     skipped: u64,
     legal: u64,
-    /// Σ `dups_since_prev` over stored records (the *attached* events).
+    /// Σ `dups_since_prev` over stored records; the events counted but
+    /// not yet attached to a record are `duplicates - dup_delta_total`.
     dup_delta_total: u64,
     /// Σ `skips_since_prev` over stored records.
     skip_delta_total: u64,
-    /// Events since the last stored record, to be attached to the next.
-    pending_dups: u64,
-    pending_skips: u64,
-    meter: DiversityMeter,
-    /// Dedup groups keyed by topology hash; `BTreeMap` so stats that
-    /// fold over groups visit them in one deterministic order.
-    topos: BTreeMap<u64, Vec<TopoGroup>>,
+    complexities: PatternLibrary,
+    /// Stored records keyed by topology hash; `BTreeMap` so stats that
+    /// fold over topologies visit them in one deterministic order.
+    topos: BTreeMap<u64, Vec<RecordRef>>,
     order: Vec<RecordRef>,
     updated: String,
     last_ckpt: (u64, u64, u64, u64),
@@ -169,6 +169,42 @@ impl BucketState {
         }
     }
 
+    /// Settles `dups` duplicate and `skips` skipped source indices,
+    /// which store nothing: a dedup hit, a generator shortfall, a
+    /// replayed shard gap, or the deltas a scanned record carries.
+    fn events(&mut self, dups: u64, skips: u64) {
+        self.duplicates += dups;
+        self.skipped += skips;
+        self.cursor += dups + skips;
+    }
+
+    /// Counts one stored record. Its deltas must already be settled
+    /// through [`BucketState::events`].
+    fn push(&mut self, rec: &Record, loc: RefLoc) {
+        self.dup_delta_total += u64::from(rec.dups_since_prev);
+        self.skip_delta_total += u64::from(rec.skips_since_prev);
+        self.accepted += 1;
+        self.legal += u64::from(rec.legal);
+        self.cursor = rec.source_index + 1;
+        self.complexities
+            .add(rec.complexity.0.into(), rec.complexity.1.into());
+        let rr = RecordRef {
+            seg: loc.seg,
+            offset: loc.offset,
+            len: loc.len,
+            crc: loc.crc,
+            variant_hash: variant_hash(rec.pattern.dx(), rec.pattern.dy()),
+            source_index: rec.source_index,
+            legal: rec.legal,
+            complexity: rec.complexity,
+        };
+        self.order.push(rr);
+        self.topos
+            .entry(topology_hash(rec.pattern.topology()))
+            .or_default()
+            .push(rr);
+    }
+
     fn sig(&self) -> (u64, u64, u64, u64) {
         (self.cursor, self.accepted, self.duplicates, self.skipped)
     }
@@ -181,9 +217,9 @@ impl BucketState {
             duplicates: self.duplicates,
             skipped: self.skipped,
             legal: self.legal,
-            topologies: self.topos.values().map(|g| g.len() as u64).sum(),
-            distinct_complexities: self.meter.distinct() as u64,
-            diversity: self.meter.diversity(),
+            topologies: self.topos.len() as u64,
+            distinct_complexities: self.complexities.distinct() as u64,
+            diversity: self.complexities.diversity(),
             updated: self.updated.clone(),
         }
     }
@@ -333,7 +369,7 @@ impl Library {
     /// [`PatternLibrary`] type the table1 harness aggregates into, so
     /// its `diversity()` is the paper's Definition 1 verbatim.
     pub fn histogram(&self, method: &str, ruleset: &str) -> Option<&PatternLibrary> {
-        self.bucket(method, ruleset).map(|b| b.meter.histogram())
+        self.bucket(method, ruleset).map(|b| &b.complexities)
     }
 
     /// One bucket's records in ascending `source_index` order.
@@ -437,7 +473,7 @@ fn apply_record(
     rec: Record,
     loc: RefLoc,
 ) -> Result<(), LibraryError> {
-    let gap = rec.dups_since_prev as u64 + rec.skips_since_prev as u64;
+    let gap = u64::from(rec.dups_since_prev) + u64::from(rec.skips_since_prev);
     if rec.source_index < gap {
         return Err(corrupt(format!(
             "bucket {}/{}: record at index {} claims {} prior events",
@@ -457,41 +493,8 @@ fn apply_record(
             b.cursor + gap
         )));
     }
-    b.duplicates += rec.dups_since_prev as u64;
-    b.skipped += rec.skips_since_prev as u64;
-    b.dup_delta_total += rec.dups_since_prev as u64;
-    b.skip_delta_total += rec.skips_since_prev as u64;
-    b.accepted += 1;
-    if rec.legal {
-        b.legal += 1;
-    }
-    b.cursor = rec.source_index + 1;
-    b.meter
-        .add(rec.complexity.0 as usize, rec.complexity.1 as usize);
-    let rr = RecordRef {
-        seg: loc.seg,
-        offset: loc.offset,
-        len: loc.len,
-        crc: loc.crc,
-        variant_hash: variant_hash(rec.pattern.dx(), rec.pattern.dy()),
-        source_index: rec.source_index,
-        legal: rec.legal,
-        complexity: rec.complexity,
-    };
-    b.order.push(rr);
-    // Records were deduplicated at ingest by byte comparison, so within
-    // one bucket a topology hash almost surely names one topology; a
-    // colliding distinct topology landing in the same group is harmless
-    // because every dedup probe re-verifies bytes before dropping.
-    let groups = b
-        .topos
-        .entry(topology_hash(rec.pattern.topology()))
-        .or_default();
-    if let Some(g) = groups.first_mut() {
-        g.refs.push(rr);
-    } else {
-        groups.push(TopoGroup { refs: vec![rr] });
-    }
+    b.events(rec.dups_since_prev.into(), rec.skips_since_prev.into());
+    b.push(&rec, loc);
     Ok(())
 }
 
@@ -671,13 +674,11 @@ fn load_state(dir: PathBuf) -> Result<(Library, u64), LibraryError> {
         }
     }
     // Tail events (between the last record and the cursor) have no
-    // record of their own; re-arm the pending counters so the *next*
-    // accepted record's deltas keep Σ deltas + pending == totals.
-    for b in buckets.values_mut() {
-        b.pending_dups = b.duplicates - b.dup_delta_total;
-        b.pending_skips = b.skipped - b.skip_delta_total;
-        let counted = b.order.last().map(|r| r.source_index + 1).unwrap_or(b.base);
-        debug_assert_eq!(b.pending_dups + b.pending_skips, b.cursor - counted);
+    // record of their own; the next stored record carries them.
+    for b in buckets.values() {
+        let counted = b.order.last().map_or(b.base, |r| r.source_index + 1);
+        let pending = b.duplicates - b.dup_delta_total + b.skipped - b.skip_delta_total;
+        debug_assert_eq!(pending, b.cursor - counted);
     }
 
     let last_valid = segments.last().copied().unwrap_or(0);
@@ -906,19 +907,21 @@ impl LibraryWriter {
         legal: bool,
     ) -> Result<IngestOutcome, LibraryError> {
         let key = (method.to_string(), ruleset.to_string());
-        if !self.lib.buckets.contains_key(&key) {
-            self.lib
-                .buckets
-                .insert(key.clone(), BucketState::new_at(source_index));
-        }
         let th = topology_hash(pattern.topology());
         let vh = variant_hash(pattern.dx(), pattern.dy());
 
         // Split-borrow: dedup probes read records (files) while the
         // bucket (buckets) is held mutably.
         let scratch = &mut self.scratch;
-        let Library { buckets, files, .. } = &mut self.lib;
-        let b = buckets.get_mut(&key).unwrap();
+        let Library {
+            buckets,
+            files,
+            segments,
+            ..
+        } = &mut self.lib;
+        let b = buckets
+            .entry(key)
+            .or_insert_with(|| BucketState::new_at(source_index));
         if source_index != b.cursor {
             return Err(LibraryError::OutOfOrder {
                 method: method.to_string(),
@@ -927,32 +930,18 @@ impl LibraryWriter {
                 got: source_index,
             });
         }
-        let mut group_index = None;
-        if let Some(groups) = b.topos.get(&th) {
-            'groups: for (gi, g) in groups.iter().enumerate() {
-                let rep = read_record(files, &g.refs[0], scratch)?;
-                if rep.pattern.topology() != pattern.topology() {
-                    continue; // topology-hash collision: different shape
-                }
-                for r in &g.refs {
-                    if r.variant_hash == vh {
-                        let cand = if r.offset == g.refs[0].offset && r.seg == g.refs[0].seg {
-                            rep.clone()
-                        } else {
-                            read_record(files, r, scratch)?
-                        };
-                        if cand.pattern == *pattern {
-                            b.duplicates += 1;
-                            b.pending_dups += 1;
-                            b.cursor += 1;
-                            self.totals.duplicates += 1;
-                            return Ok(IngestOutcome::Duplicate);
-                        }
-                    }
-                }
-                group_index = Some(gi);
-                break 'groups;
+        let mut outcome = IngestOutcome::NewTopology;
+        for r in b.topos.get(&th).into_iter().flatten() {
+            outcome = IngestOutcome::NewVariant;
+            if r.variant_hash == vh && read_record(files, r, scratch)?.pattern == *pattern {
+                outcome = IngestOutcome::Duplicate;
+                break;
             }
+        }
+        if outcome == IngestOutcome::Duplicate {
+            b.events(1, 0);
+            self.totals.duplicates += 1;
+            return Ok(outcome);
         }
 
         let (cx, cy) = complexity_of_grid(pattern.topology());
@@ -961,67 +950,38 @@ impl LibraryWriter {
                 detail: "complexity out of u16 range".to_string(),
             })
         };
-        let complexity = (to_u16(cx)?, to_u16(cy)?);
         let to_u32 = |v: u64, what: &str| {
             u32::try_from(v).map_err(|_| LibraryError::Invalid {
                 detail: format!("more than u32::MAX {what} between records"),
             })
         };
-        let dups32 = to_u32(b.pending_dups, "duplicates")?;
-        let skips32 = to_u32(b.pending_skips, "skips")?;
         let record = Record {
             method: method.to_string(),
             ruleset: ruleset.to_string(),
             source_index,
-            dups_since_prev: dups32,
-            skips_since_prev: skips32,
+            dups_since_prev: to_u32(b.duplicates - b.dup_delta_total, "duplicates")?,
+            skips_since_prev: to_u32(b.skipped - b.skip_delta_total, "skips")?,
             legal,
-            complexity,
+            complexity: (to_u16(cx)?, to_u16(cy)?),
             pattern: pattern.clone(),
         };
         let frame = record.frame()?;
-        let payload_crc = crc32(&frame[8..]);
-        let seg = (self.lib.segments.len() - 1) as u32;
-        let offset = *self.lib.segments.last().unwrap();
+        let offset = *segments.last().unwrap();
         pwrite_all(&self.active, offset, &frame)?;
-        *self.lib.segments.last_mut().unwrap() = offset + frame.len() as u64;
+        let end = offset + frame.len() as u64;
+        *segments.last_mut().unwrap() = end;
         self.totals.bytes_written += frame.len() as u64;
         self.totals.accepted += 1;
-
-        let b = self.lib.buckets.get_mut(&key).unwrap();
-        let rr = RecordRef {
-            seg,
-            offset: offset + 8,
-            len: (frame.len() - 8) as u32,
-            crc: payload_crc,
-            variant_hash: vh,
-            source_index,
-            legal,
-            complexity,
-        };
-        b.accepted += 1;
-        if legal {
-            b.legal += 1;
-        }
-        b.dup_delta_total += dups32 as u64;
-        b.skip_delta_total += skips32 as u64;
-        b.pending_dups = 0;
-        b.pending_skips = 0;
-        b.cursor += 1;
-        b.meter.add(cx, cy);
-        b.order.push(rr);
-        let groups = b.topos.entry(th).or_default();
-        let outcome = match group_index {
-            Some(gi) => {
-                groups[gi].refs.push(rr);
-                IngestOutcome::NewVariant
-            }
-            None => {
-                groups.push(TopoGroup { refs: vec![rr] });
-                IngestOutcome::NewTopology
-            }
-        };
-        if *self.lib.segments.last().unwrap() >= self.config.segment_bytes {
+        b.push(
+            &record,
+            RefLoc {
+                seg: (segments.len() - 1) as u32,
+                offset: offset + 8,
+                len: (frame.len() - 8) as u32,
+                crc: crc32(&frame[8..]),
+            },
+        );
+        if end >= self.config.segment_bytes {
             self.seal()?;
         }
         Ok(outcome)
@@ -1043,10 +1003,7 @@ impl LibraryWriter {
     /// Records that the bucket's cursor index produced no pattern
     /// (generator shortfall). The bucket must exist.
     pub fn record_skip(&mut self, method: &str, ruleset: &str) -> Result<(), LibraryError> {
-        let b = self.bucket_mut(method, ruleset)?;
-        b.skipped += 1;
-        b.pending_skips += 1;
-        b.cursor += 1;
+        self.bucket_mut(method, ruleset)?.events(0, 1);
         Ok(())
     }
 
@@ -1060,12 +1017,7 @@ impl LibraryWriter {
         dups: u64,
         skips: u64,
     ) -> Result<(), LibraryError> {
-        let b = self.bucket_mut(method, ruleset)?;
-        b.duplicates += dups;
-        b.pending_dups += dups;
-        b.skipped += skips;
-        b.pending_skips += skips;
-        b.cursor += dups + skips;
+        self.bucket_mut(method, ruleset)?.events(dups, skips);
         Ok(())
     }
 

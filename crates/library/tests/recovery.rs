@@ -430,7 +430,7 @@ fn incremental_entropy_matches_one_shot_bit_for_bit() {
     let lib = build(&dir, 80, 1 << 20);
     let mut oneshot = PatternLibrary::new();
     for rr in lib.records(METHOD, RULESET).unwrap() {
-        oneshot.add_complexity(rr.complexity.0 as usize, rr.complexity.1 as usize);
+        oneshot.add(rr.complexity.0 as usize, rr.complexity.1 as usize);
     }
     let s = lib.stats(METHOD, RULESET).unwrap();
     assert_eq!(s.diversity.to_bits(), oneshot.diversity().to_bits());

@@ -192,7 +192,6 @@ fn run(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig {
         max_body_bytes,
         library,
-        ..ServeConfig::default()
     };
     let addr = options.text("addr").unwrap_or("127.0.0.1:7878");
     let handle = serve(service, addr, config)?;

@@ -19,8 +19,7 @@
 //!   "repair_bowties": true,
 //!   "rules": {"space_min": 60, "width_min": 60, "area_min": 4000,
 //!             "area_max": 1500000, "exempt_border": true},
-//!   "solver": {"target_width": 2048, "target_height": 2048,
-//!              "max_iterations": 500, "max_restarts": 8, "margin": 2.0},
+//!   "solver": {"target_width": 2048, "target_height": 2048},
 //!   "donors": [{"topology": ["0110", "1111"], "dx": [512, 512, 512, 512],
 //!               "dy": [1024, 1024]}],
 //!   "conditioning": {"freeze_len": 256, "freeze_mask": "Af8A...",
@@ -319,12 +318,6 @@ fn solver_to_json(solver: &SolverConfig) -> Json {
             "target_height".to_string(),
             Json::from(solver.target_height),
         ),
-        (
-            "max_iterations".to_string(),
-            Json::from(solver.max_iterations),
-        ),
-        ("max_restarts".to_string(), Json::from(solver.max_restarts)),
-        ("margin".to_string(), Json::Float(solver.margin)),
     ])
 }
 
@@ -340,16 +333,6 @@ fn solver_from_json(v: &Json) -> Result<SolverConfig, ProtoError> {
         match key.as_str() {
             "target_width" => solver.target_width = i64_field(value, "solver.target_width")?,
             "target_height" => solver.target_height = i64_field(value, "solver.target_height")?,
-            "max_iterations" => {
-                solver.max_iterations = usize_field(value, "solver.max_iterations")?
-            }
-            "max_restarts" => solver.max_restarts = usize_field(value, "solver.max_restarts")?,
-            "margin" => {
-                solver.margin = value.as_f64().ok_or(ProtoError::WrongType {
-                    field: "solver.margin",
-                    expected: "a number",
-                })?;
-            }
             other => {
                 return Err(ProtoError::UnknownField {
                     at: "solver",
@@ -952,11 +935,7 @@ mod tests {
         assert_eq!(a.max_attempts, b.max_attempts);
         assert_eq!(a.repair_bowties, b.repair_bowties);
         assert_eq!(a.rules, b.rules);
-        assert_eq!(a.solver.target_width, b.solver.target_width);
-        assert_eq!(a.solver.target_height, b.solver.target_height);
-        assert_eq!(a.solver.max_iterations, b.solver.max_iterations);
-        assert_eq!(a.solver.max_restarts, b.solver.max_restarts);
-        assert_eq!(a.solver.margin.to_bits(), b.solver.margin.to_bits());
+        assert_eq!(a.solver, b.solver);
         assert_eq!(a.donors.as_ref(), b.donors.as_ref());
         assert_eq!(a.conditioning, b.conditioning);
     }
@@ -1015,6 +994,21 @@ mod tests {
             let e = spec_from_json(&json::parse(body).unwrap()).unwrap_err();
             assert_eq!(e.code(), code, "{body} -> {e}");
         }
+    }
+
+    #[test]
+    fn solver_object_carries_only_the_window() {
+        let wire = spec_to_json(&RequestSpec::new(1));
+        let Some(Json::Obj(solver)) = wire.get("solver") else {
+            panic!("no solver object in {wire}");
+        };
+        let keys: Vec<&str> = solver.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["target_width", "target_height"]);
+        // The solver's budget is fixed, not client input; `tests/serve.rs`
+        // sends the iteration count over a live connection.
+        let body = r#"{"count": 1, "solver": {"margin": 2.0}}"#;
+        let e = spec_from_json(&json::parse(body).unwrap()).unwrap_err();
+        assert_eq!(e.code(), "unknown_field", "{body} -> {e}");
     }
 
     #[test]

@@ -136,6 +136,15 @@ fn ruleset_label(rules: &DesignRules) -> String {
     )
 }
 
+/// How often a streaming handler wakes to check client liveness and the
+/// shutdown flag. Bounds cancellation latency.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Socket read timeout while waiting for the next request on a
+/// keep-alive connection (also bounds shutdown latency for idle
+/// connections).
+const READ_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// Tuning knobs for [`serve`]. `Default` suits tests and the demo
 /// binary; production would mostly raise `max_body_bytes`.
 #[derive(Debug, Clone)]
@@ -143,13 +152,6 @@ pub struct ServeConfig {
     /// Largest accepted request body; anything larger is refused with
     /// HTTP 413 before it is read. Default 1 MiB.
     pub max_body_bytes: usize,
-    /// How often a streaming handler wakes to check client liveness and
-    /// the shutdown flag. Bounds cancellation latency. Default 50 ms.
-    pub poll_interval: Duration,
-    /// Socket read timeout while waiting for the next request on a
-    /// keep-alive connection (also bounds shutdown latency for idle
-    /// connections). Default 250 ms.
-    pub read_timeout: Duration,
     /// When set, every streamed item is also ingested into this
     /// library, and `/metrics` grows a `"library"` section. Default
     /// `None` (the server stores nothing).
@@ -160,8 +162,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_body_bytes: 1024 * 1024,
-            poll_interval: Duration::from_millis(50),
-            read_timeout: Duration::from_millis(250),
             library: None,
         }
     }
@@ -274,7 +274,7 @@ fn handle_connection(
     stop: &AtomicBool,
     metrics: &ServerMetrics,
 ) -> io::Result<()> {
-    socket.set_read_timeout(Some(config.read_timeout))?;
+    socket.set_read_timeout(Some(READ_TIMEOUT))?;
     socket.set_nodelay(true)?;
     let mut conn = Conn::new(socket);
     loop {
@@ -427,7 +427,7 @@ fn stream_items(
         .map(|library| (library, ruleset_label(&spec.rules)));
     let mut delivered = 0usize;
     loop {
-        match handle.recv_timeout(config.poll_interval) {
+        match handle.recv_timeout(POLL_INTERVAL) {
             RecvPoll::Item(generated) => {
                 if delivered == 0 {
                     metrics.first_item_latency.record(started.elapsed());

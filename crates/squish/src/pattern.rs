@@ -148,9 +148,11 @@ impl SquishPattern {
         Ok(layout.normalized())
     }
 
-    /// Complexity `(c_x, c_y)`: the number of scan lines minus one along
-    /// each axis (paper §II-C). For an encoded pattern this is simply the
-    /// topology shape.
+    /// The topology's shape `(width, height)`. This is the complexity
+    /// `(c_x, c_y)` of paper §II-C (scan lines minus one along each axis)
+    /// only for an encoded, unpadded pattern; a generated topology is
+    /// padded to the model's matrix side, so its complexity is
+    /// [`complexity_of_grid`](crate::complexity_of_grid) of the topology.
     pub fn complexity(&self) -> (usize, usize) {
         (self.topology.width(), self.topology.height())
     }
@@ -221,6 +223,16 @@ mod tests {
         let a = p.decode().unwrap();
         let b = q.decode().unwrap();
         assert_eq!(a.normalized().len(), b.normalized().len());
+    }
+
+    #[test]
+    fn complexity_is_definition_1_only_before_padding() {
+        let p = SquishPattern::encode(&sample_layout());
+        let core = crate::complexity_of_grid(p.topology());
+        assert_eq!(p.complexity(), core);
+        let (padded, _) = crate::extend_to_side(&p, 16).unwrap();
+        assert_eq!(padded.complexity(), (16, 16));
+        assert_eq!(crate::complexity_of_grid(padded.topology()), core);
     }
 
     #[test]

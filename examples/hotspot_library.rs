@@ -23,7 +23,7 @@
 
 use diffpattern::geometry::runs;
 use diffpattern::library::{LibraryConfig, LibraryWriter};
-use diffpattern::squish::SquishPattern;
+use diffpattern::squish::{complexity_of_grid, SquishPattern};
 use diffpattern::{PatternService, Pipeline, PipelineConfig};
 use diffpattern_suite::{env_knob, example_rng};
 use std::io::Write;
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let file = format!("pattern_{:04}.pgm", record.source_index);
         let layout = pattern.decode()?;
         diffpattern::render::layout_to_pgm(&layout, 256, &out_dir.join(&file))?;
-        let (cx, cy) = pattern.complexity();
+        let (cx, cy) = complexity_of_grid(pattern.topology());
         writeln!(
             manifest,
             "{file},{cx},{cy},{min_space},{min_width},{stress:.3},{label}"

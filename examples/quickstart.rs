@@ -10,6 +10,7 @@
 //! (default 8), `DP_THREADS` (default 0 = all cores), `DP_SEED`.
 
 use diffpattern::render::pattern_to_ascii;
+use diffpattern::squish::complexity_of_grid;
 use diffpattern::{PatternService, Pipeline, PipelineConfig};
 use diffpattern_suite::{env_knob, example_rng};
 use std::sync::Arc;
@@ -74,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             g.provenance.index,
             g.provenance.seed,
             g.provenance.attempts,
-            g.pattern.complexity(),
+            complexity_of_grid(g.pattern.topology()),
             drc.is_clean()
         );
         println!("{}", pattern_to_ascii(&g.pattern, 48, 24));

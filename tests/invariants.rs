@@ -99,9 +99,8 @@ fn pipeline_is_deterministic_under_fixed_seed() {
 /// training `forward` at the shipped widths — `PipelineConfig::default()`,
 /// GroupNorm over 8 groups of 32–128 channels — which the randomized
 /// configs of `dp_nn`'s golden tests (2 groups, widths of at most 6)
-/// never reach. Two items at different steps, bit for bit. The input is
-/// 8x8, half the shipped fold side, which keeps the debug build near 2 s
-/// (about 8 s at 16x16); no layer's width or group count depends on it.
+/// never reach. Two items at different steps, bit for bit, at the
+/// shipped fold side.
 #[test]
 fn shipped_unet_infer_matches_forward_bit_for_bit() {
     use diffpattern::nn::{Tensor, UNet, Workspace};
@@ -115,7 +114,7 @@ fn shipped_unet_infer_matches_forward_bit_for_bit() {
             *v += rng.gen_range(-0.1f32..0.1);
         }
     }
-    let side = config.fold_side() / 2;
+    let side = config.fold_side();
     let x = Tensor::randn(&[2, config.dataset.channels, side, side], 1.0, &mut rng);
     let steps = [3, 71];
     let reference = net.forward(&x, &steps);

@@ -174,9 +174,15 @@ fn invalid_bodies_get_structured_errors_and_connection_survives() {
             "invalid_spec",
         ),
         (
-            "{\"count\": 1, \"solver\": {\"margin\": \"wide\"}}",
+            "{\"count\": 1, \"solver\": {\"target_width\": \"wide\"}}",
             400,
             "bad_request",
+        ),
+        // The solver's iteration budget is not client input.
+        (
+            "{\"count\": 1, \"solver\": {\"max_iterations\": 1000000000000}}",
+            400,
+            "unknown_field",
         ),
         (
             "{\"count\": 1, \"donors\": [{\"topology\": [\"01\", \"0\"], \
@@ -705,9 +711,6 @@ proptest! {
         exempt in any::<bool>(),
         window_w in 100i64..1_000_000,
         window_h in 100i64..1_000_000,
-        iterations in 0usize..100_000,
-        restarts in 0usize..64,
-        margin in 0.0f64..8.0,
         deadline_ms in any::<u64>(),
         has_deadline in any::<bool>(),
         donor_seed in any::<u64>(),
@@ -722,10 +725,6 @@ proptest! {
             .exempt_border(exempt)
             .build()
             .unwrap();
-        let mut solver = SolverConfig::for_window(window_w, window_h);
-        solver.max_iterations = iterations;
-        solver.max_restarts = restarts;
-        solver.margin = margin;
         let donors: Vec<SquishPattern> = (0..donor_n)
             .map(|i| random_donor(donor_seed.wrapping_add(i as u64)))
             .collect();
@@ -735,7 +734,7 @@ proptest! {
             seed,
             priority,
             rules,
-            solver,
+            solver: SolverConfig::for_window(window_w, window_h),
             sample_stride: stride,
             max_attempts: attempts,
             repair_bowties: repair,
@@ -754,9 +753,6 @@ proptest! {
         prop_assert_eq!(spec.rules, back.rules);
         prop_assert_eq!(spec.solver.target_width, back.solver.target_width);
         prop_assert_eq!(spec.solver.target_height, back.solver.target_height);
-        prop_assert_eq!(spec.solver.max_iterations, back.solver.max_iterations);
-        prop_assert_eq!(spec.solver.max_restarts, back.solver.max_restarts);
-        prop_assert_eq!(spec.solver.margin.to_bits(), back.solver.margin.to_bits());
         prop_assert_eq!(spec.sample_stride, back.sample_stride);
         prop_assert_eq!(spec.max_attempts, back.max_attempts);
         prop_assert_eq!(spec.repair_bowties, back.repair_bowties);

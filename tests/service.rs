@@ -429,11 +429,6 @@ fn exhausted_attempts_surface_as_shortfall_not_silence() {
             &RequestSpec {
                 count: 3,
                 rules: harsh,
-                solver: SolverConfig {
-                    max_iterations: 20,
-                    max_restarts: 1,
-                    ..SolverConfig::for_window(2048, 2048)
-                },
                 max_attempts: 2,
                 ..base.clone()
             }
