@@ -89,6 +89,15 @@ impl Cae {
         logits_to_grid(&logits, 0, self.config.side)
     }
 
+    /// Mean BCE of reconstructing `grid` without noise — the validity
+    /// metric's score.
+    pub(crate) fn reconstruction_error(&mut self, grid: &BitGrid) -> f64 {
+        let x = grids_to_tensor(&[grid], self.config.side);
+        let z = self.encoder.forward(&x);
+        let logits = self.decoder.forward(&z);
+        bce_with_logits(&logits, &x).0
+    }
+
     /// Reconstructs a grid without noise (diagnostic).
     pub fn reconstruct(&mut self, grid: &BitGrid) -> BitGrid {
         let x = grids_to_tensor(&[grid], self.config.side);

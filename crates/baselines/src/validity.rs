@@ -12,16 +12,15 @@
 //! faithfully so the critique can be demonstrated quantitatively (see
 //! `examples/validity_critique.rs`).
 
-use crate::ae::{bce_with_logits, grids_to_tensor, AeConfig, Decoder, Encoder};
+use crate::{AeConfig, Cae};
 use dp_geometry::BitGrid;
 use rand::Rng;
 
-/// An encoder-decoder validity scorer in the style of paper ref. \[8\].
+/// An encoder-decoder validity scorer in the style of paper ref. \[8\]: a
+/// [`Cae`] trained on the training set, plus its calibrated threshold.
 #[derive(Debug, Clone)]
 pub struct ValidityScorer {
-    encoder: Encoder,
-    decoder: Decoder,
-    config: AeConfig,
+    cae: Cae,
     /// Reconstruction-error threshold calibrated on the training set
     /// (95th percentile); patterns below it count as "valid".
     threshold: f64,
@@ -40,38 +39,17 @@ impl ValidityScorer {
         rng: &mut impl Rng,
     ) -> Self {
         assert!(!training.is_empty(), "empty training set");
-        let mut encoder = Encoder::new(config, config.latent, rng);
-        let mut decoder = Decoder::new(config, rng);
-        let mut adam = dp_nn::Adam::new(dp_nn::AdamConfig {
-            lr: 2e-3,
-            ..dp_nn::AdamConfig::default()
-        });
-        for _ in 0..iterations {
-            let items: Vec<&BitGrid> = (0..8)
-                .map(|_| &training[rng.gen_range(0..training.len())])
-                .collect();
-            let x = grids_to_tensor(&items, config.side);
-            let z = encoder.forward(&x);
-            let logits = decoder.forward(&z);
-            let (_, grad) = bce_with_logits(&logits, &x);
-            let gz = decoder.backward(&grad);
-            let _ = encoder.backward(&gz);
-            let mut params = encoder.params_mut();
-            params.extend(decoder.params_mut());
-            adam.step(&mut params);
-        }
-        let mut scorer = ValidityScorer {
-            encoder,
-            decoder,
-            config,
-            threshold: f64::INFINITY,
-        };
+        let mut cae = Cae::new(config, rng);
+        cae.train(training, iterations, 8, rng);
         // Calibrate: the 95th percentile of training reconstruction errors.
-        let mut errors: Vec<f64> = training.iter().map(|g| scorer.error(g)).collect();
+        let mut errors: Vec<f64> = training
+            .iter()
+            .map(|g| cae.reconstruction_error(g))
+            .collect();
         errors.sort_by(|a, b| a.partial_cmp(b).expect("finite BCE"));
         let idx = (errors.len() * 95) / 100;
-        scorer.threshold = errors[idx.min(errors.len() - 1)];
-        scorer
+        let threshold = errors[idx.min(errors.len() - 1)];
+        ValidityScorer { cae, threshold }
     }
 
     /// Reconstruction error (mean BCE) of one topology — lower = "more
@@ -81,16 +59,7 @@ impl ValidityScorer {
     ///
     /// Panics when the grid side does not match the configuration.
     pub fn error(&mut self, grid: &BitGrid) -> f64 {
-        let x = grids_to_tensor(&[grid], self.config.side);
-        let z = self.encoder.forward(&x);
-        let logits = self.decoder.forward(&z);
-        let (bce, _) = bce_with_logits(&logits, &x);
-        bce
-    }
-
-    /// `true` when the pattern clears the calibrated threshold.
-    pub fn is_valid(&mut self, grid: &BitGrid) -> bool {
-        self.error(grid) <= self.threshold
+        self.cae.reconstruction_error(grid)
     }
 
     /// Fraction of a set scoring "valid" — the percentage prior work
@@ -101,10 +70,7 @@ impl ValidityScorer {
         }
         let valid = grids
             .iter()
-            .filter(|g| {
-                let e = self.error(g);
-                e <= self.threshold
-            })
+            .filter(|g| self.error(g) <= self.threshold)
             .count();
         100.0 * valid as f64 / grids.len() as f64
     }

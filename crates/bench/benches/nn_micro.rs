@@ -11,7 +11,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dp_diffusion::{
-    categorical_draw_in_place, posterior_same_prob, reverse_update_in_place, NoiseSchedule,
+    categorical_draw_in_place, posterior_jump_same_prob, reverse_update_in_place, NoiseSchedule,
 };
 use dp_nn::{
     matmul, silu_in_place, softmax_rows_in_place, upsample_nearest2_ws, Conv2d, GroupNorm, Linear,
@@ -239,8 +239,8 @@ fn sampler(c: &mut Criterion) {
         bch.iter(|| categorical_draw_in_place(&mut bits, &p1, &mut rng))
     });
     let k = 500;
-    let eq = posterior_same_prob(&schedule, k, true);
-    let ne = posterior_same_prob(&schedule, k, false);
+    let eq = posterior_jump_same_prob(&schedule, k - 1, k, true);
+    let ne = posterior_jump_same_prob(&schedule, k - 1, k, false);
     group.bench_function("posterior_step", |bch| {
         bch.iter(|| reverse_update_in_place(eq, ne, &mut bits, &p1, &mut rng))
     });

@@ -107,7 +107,7 @@ pub fn run(
     // Real patterns row (legality is not applicable; the paper prints '-').
     let mut real = PatternLibrary::new();
     for p in donors {
-        real.add_pattern(p);
+        real.add_topology(p.topology());
     }
     let mut rows = vec![MethodRow {
         name: "Real Patterns".into(),

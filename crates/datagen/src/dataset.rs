@@ -56,7 +56,7 @@ impl Dataset {
     pub fn library(&self) -> PatternLibrary {
         let mut lib = PatternLibrary::new();
         for p in &self.patterns {
-            lib.add_pattern(p);
+            lib.add_topology(p.topology());
         }
         lib
     }

@@ -1,7 +1,7 @@
 use std::collections::BTreeMap;
 
 use dp_geometry::BitGrid;
-use dp_squish::{complexity_of_grid, SquishPattern};
+use dp_squish::complexity_of_grid;
 
 /// A pattern library viewed as a multiset of complexities `(c_x, c_y)` —
 /// the statistic the paper's diversity metric (Definition 1) and Fig. 9
@@ -22,12 +22,6 @@ impl PatternLibrary {
     pub fn add(&mut self, cx: usize, cy: usize) {
         *self.counts.entry((cx, cy)).or_insert(0) += 1;
         self.total += 1;
-    }
-
-    /// Records a squish pattern (complexity = topology shape).
-    pub fn add_pattern(&mut self, pattern: &SquishPattern) {
-        let (cx, cy) = pattern.complexity();
-        self.add(cx, cy);
     }
 
     /// Records a raw topology matrix, squishing it to its canonical core

@@ -1,4 +1,4 @@
-use crate::loss::{p1_of_logits, p1_of_logits_append};
+use crate::loss::p1_of_logits_append;
 use dp_nn::{Tensor, UNet, Workspace};
 use dp_squish::DeepSquishTensor;
 
@@ -14,22 +14,14 @@ use dp_squish::DeepSquishTensor;
 /// [`NeuralDenoiser`] implements it through the U-Net's dedicated `&self`
 /// forward path ([`dp_nn::UNet::infer`]).
 pub trait InferenceDenoiser: Sync {
-    /// For each batch item `i`, returns `p_θ(x̃0 = 1 | x_k)` per entry in
-    /// the [`DeepSquishTensor::bits`] order. `ks[i]` is the 1-based
-    /// diffusion step of item `i`.
-    fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>>;
-
     /// Lock-step micro-batch prediction: all of `xks` sit at the **same**
-    /// diffusion step `k`, and the per-entry probabilities of every item
-    /// are written into `out` concatenated in item order (`out.len() ==
-    /// xks.len() * entries`). The contract is that item `i`'s slice is
-    /// **bit-identical** to what [`InferenceDenoiser::infer_p1`] returns
-    /// for that item alone — the batched sampler relies on this to keep
-    /// micro-batched chains equal to single-lane ones.
-    ///
-    /// The default implementation loops over [`InferenceDenoiser::infer_p1`]
-    /// one item at a time (trivially satisfying the contract, but
-    /// allocating); neural implementations override it with one stacked,
+    /// 1-based diffusion step `k`, and `out` is replaced by every item's
+    /// per-entry `p_θ(x̃0 = 1 | x_k)` in the [`DeepSquishTensor::bits`]
+    /// order, concatenated in item order (`out.len() == xks.len() *
+    /// entries`). The contract is that item `i`'s slice is
+    /// **bit-identical** to a batch of that item alone — the batched
+    /// sampler relies on this to keep micro-batched chains equal to
+    /// single-lane ones. Neural implementations run one stacked,
     /// allocation-free model evaluation drawing scratch memory from `ws`.
     fn infer_p1_batch_into(
         &self,
@@ -37,12 +29,26 @@ pub trait InferenceDenoiser: Sync {
         k: usize,
         ws: &mut Workspace,
         out: &mut Vec<f64>,
-    ) {
-        let _ = ws;
-        out.clear();
-        for xk in xks {
-            out.extend_from_slice(&self.infer_p1(std::slice::from_ref(xk), &[k])[0]);
-        }
+    );
+
+    /// For each batch item `i`, returns `p_θ(x̃0 = 1 | x_k)` per entry at
+    /// the item's own 1-based step `ks[i]`: each item runs through
+    /// [`InferenceDenoiser::infer_p1_batch_into`] as a batch of one.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `xks` and `ks` differ in length.
+    fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
+        assert_eq!(xks.len(), ks.len(), "one step per item");
+        let mut ws = Workspace::new();
+        xks.iter()
+            .zip(ks)
+            .map(|(xk, &k)| {
+                let mut p1 = Vec::new();
+                self.infer_p1_batch_into(std::slice::from_ref(xk), k, &mut ws, &mut p1);
+                p1
+            })
+            .collect()
     }
 }
 
@@ -89,20 +95,7 @@ impl NeuralDenoiser {
     /// Maps a batch of bit tensors to the network input (`false → -1`,
     /// `true → +1`), the conditioning the trainer also uses.
     pub fn batch_to_input(xks: &[DeepSquishTensor]) -> Tensor {
-        let n = xks.len();
-        assert!(n > 0, "empty batch");
-        let c = xks[0].channels();
-        let side = xks[0].side();
-        let mut data = Vec::with_capacity(n * c * side * side);
-        for xk in xks {
-            assert_eq!(
-                (xk.channels(), xk.side()),
-                (c, side),
-                "batch shape mismatch"
-            );
-            data.extend(xk.bits().iter().map(|&b| if b { 1.0f32 } else { -1.0 }));
-        }
-        Tensor::from_vec(&[n, c, side, side], data)
+        signed_input(xks, Tensor::zeros)
     }
 
     /// Runs the network's training forward pass and returns the raw logit
@@ -115,14 +108,6 @@ impl NeuralDenoiser {
 }
 
 impl InferenceDenoiser for NeuralDenoiser {
-    fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
-        let input = Self::batch_to_input(xks);
-        let logits = self.unet.infer(&input, ks, &mut Workspace::new());
-        (0..xks.len())
-            .map(|ni| p1_of_logits(&logits, ni, self.channels))
-            .collect()
-    }
-
     fn infer_p1_batch_into(
         &self,
         xks: &[DeepSquishTensor],
@@ -131,33 +116,41 @@ impl InferenceDenoiser for NeuralDenoiser {
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        let Some(first) = xks.first() else { return };
+        if xks.is_empty() {
+            return;
+        }
         // One stacked evaluation: the U-Net's per-item bit-equality
         // guarantee (see `dp_nn::UNet::infer`, "Batch invariance") makes
         // each lane's probabilities equal to a single-item call.
-        let (n, c, side) = (xks.len(), first.channels(), first.side());
-        let mut input = ws.take_uninit(&[n, c, side, side]);
-        let entries = c * side * side;
-        for (ni, xk) in xks.iter().enumerate() {
-            assert_eq!(
-                (xk.channels(), xk.side()),
-                (c, side),
-                "batch shape mismatch"
-            );
-            let lane = &mut input.data_mut()[ni * entries..(ni + 1) * entries];
-            for (v, &b) in lane.iter_mut().zip(xk.bits()) {
-                *v = if b { 1.0 } else { -1.0 };
-            }
-        }
-        let steps = ws.take_steps(k, n);
+        let input = signed_input(xks, |shape| ws.take_uninit(shape));
+        let steps = ws.take_steps(k, xks.len());
         let logits = self.unet.infer(&input, &steps, ws);
         ws.put_steps(steps);
         ws.recycle(input);
-        for ni in 0..n {
+        for ni in 0..xks.len() {
             p1_of_logits_append(&logits, ni, self.channels, out);
         }
         ws.recycle(logits);
     }
+}
+
+/// Writes a non-empty batch of equally shaped bit tensors as `±1` into
+/// the `(n, C, M, M)` tensor that `alloc` provides for that shape.
+fn signed_input(xks: &[DeepSquishTensor], alloc: impl FnOnce(&[usize]) -> Tensor) -> Tensor {
+    let first = xks.first().expect("empty batch");
+    let (c, side) = (first.channels(), first.side());
+    let mut input = alloc(&[xks.len(), c, side, side]);
+    for (lane, xk) in input.data_mut().chunks_exact_mut(c * side * side).zip(xks) {
+        assert_eq!(
+            (xk.channels(), xk.side()),
+            (c, side),
+            "batch shape mismatch"
+        );
+        for (v, &b) in lane.iter_mut().zip(xk.bits()) {
+            *v = if b { 1.0 } else { -1.0 };
+        }
+    }
+    input
 }
 
 /// A denoiser that knows the true clean sample — used to validate the
@@ -185,22 +178,17 @@ impl OracleDenoiser {
 }
 
 impl InferenceDenoiser for OracleDenoiser {
-    fn infer_p1(&self, xks: &[DeepSquishTensor], _ks: &[usize]) -> Vec<Vec<f64>> {
-        xks.iter()
-            .map(|_| {
-                self.x0
-                    .bits()
-                    .iter()
-                    .map(|&b| {
-                        if b {
-                            self.confidence
-                        } else {
-                            1.0 - self.confidence
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+    fn infer_p1_batch_into(
+        &self,
+        xks: &[DeepSquishTensor],
+        _k: usize,
+        _ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) {
+        let (hit, miss) = (self.confidence, 1.0 - self.confidence);
+        let p1 = |&b: &bool| if b { hit } else { miss };
+        out.clear();
+        out.extend(xks.iter().flat_map(|_| self.x0.bits().iter().map(p1)));
     }
 }
 
@@ -218,8 +206,15 @@ impl UniformDenoiser {
 }
 
 impl InferenceDenoiser for UniformDenoiser {
-    fn infer_p1(&self, xks: &[DeepSquishTensor], _ks: &[usize]) -> Vec<Vec<f64>> {
-        xks.iter().map(|xk| vec![0.5; xk.bits().len()]).collect()
+    fn infer_p1_batch_into(
+        &self,
+        xks: &[DeepSquishTensor],
+        _k: usize,
+        _ws: &mut Workspace,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.resize(xks.iter().map(|xk| xk.bits().len()).sum(), 0.5);
     }
 }
 
@@ -295,8 +290,9 @@ mod tests {
         let t = DeepSquishTensor::from_bits(4, 4, vec![true; 64]).unwrap();
         let shared = d.infer_p1(std::slice::from_ref(&t), &[3]);
         let logits = d.forward_logits(std::slice::from_ref(&t), &[3]);
-        let exclusive = vec![p1_of_logits(&logits, 0, d.channels())];
-        assert_eq!(shared, exclusive);
+        let mut exclusive = Vec::new();
+        p1_of_logits_append(&logits, 0, d.channels(), &mut exclusive);
+        assert_eq!(shared, [exclusive]);
     }
 
     #[test]
@@ -340,40 +336,26 @@ mod tests {
     }
 
     #[test]
-    fn provided_batch_default_concatenates_per_item_predictions() {
-        // Closed-form denoisers run on the provided `infer_p1_batch_into`:
-        // it must replace `out` with each item's `infer_p1` at step `k`,
-        // concatenated in item order.
-        struct Echo;
-        impl InferenceDenoiser for Echo {
-            fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
-                xks.iter()
-                    .zip(ks)
-                    .map(|(xk, &k)| {
-                        xk.bits()
-                            .iter()
-                            .map(|&b| (if b { 0.9 } else { 0.1 }) / k as f64)
-                            .collect()
-                    })
-                    .collect()
+    fn provided_infer_p1_runs_each_item_at_its_own_step() {
+        // Echoes `10·k + batch size`: the provided `infer_p1` must run
+        // item `i` as a batch of one at `ks[i]`.
+        struct StepEcho;
+        impl InferenceDenoiser for StepEcho {
+            fn infer_p1_batch_into(
+                &self,
+                xks: &[DeepSquishTensor],
+                k: usize,
+                _ws: &mut Workspace,
+                out: &mut Vec<f64>,
+            ) {
+                out.clear();
+                out.resize(xks.len() * 4, (10 * k + xks.len()) as f64);
             }
         }
-        let xks: Vec<DeepSquishTensor> = (0..3)
-            .map(|i| {
-                let bits = (0..4).map(|j| (i + j) % 3 == 0).collect();
-                DeepSquishTensor::from_bits(1, 2, bits).unwrap()
-            })
-            .collect();
-        let mut ws = Workspace::new();
-        let mut out = vec![7.0; 5];
-        Echo.infer_p1_batch_into(&xks, 4, &mut ws, &mut out);
-        let expected: Vec<f64> = xks
-            .iter()
-            .flat_map(|xk| Echo.infer_p1(std::slice::from_ref(xk), &[4]).remove(0))
-            .collect();
-        assert_eq!(out, expected);
-        Echo.infer_p1_batch_into(&[], 4, &mut ws, &mut out);
-        assert!(out.is_empty());
+        let t = DeepSquishTensor::from_bits(1, 2, vec![false; 4]).unwrap();
+        let p = StepEcho.infer_p1(&[t.clone(), t.clone(), t], &[1, 4, 2]);
+        assert_eq!(p, [[11.0; 4], [41.0; 4], [21.0; 4]]);
+        assert!(StepEcho.infer_p1(&[], &[]).is_empty());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! | Eq. 7 doubly-stochastic `Q_k` | [`NoiseSchedule::beta`] (a 2x2 symmetric matrix is fully described by its flip probability) |
 //! | Eq. 8 linear β schedule | [`NoiseSchedule::linear`] |
 //! | Eq. 10 closed-form `q(x_k\|x_0)` with `Q̄_k` | [`NoiseSchedule::cumulative_flip`], [`forward_sample`] |
-//! | Eq. 12 posterior `q(x_{k-1}\|x_k, x_0)` | [`posterior_same_prob`] |
-//! | Eq. 11 mixture `p_θ(x_{k-1}\|x_k)` | [`reverse_step_prob`] |
+//! | Eq. 12 posterior `q(x_{k-1}\|x_k, x_0)` | [`posterior_jump_same_prob`] at `j = k − 1` |
+//! | Eq. 11 mixture `p_θ(x_{k-1}\|x_k)` | [`reverse_update_in_place`] |
 //! | Eq. 9 loss `KL + λ·CE` | [`loss::vb_loss_and_grad`] |
 //! | Eq. 13 ancestral sampling | [`Sampler`] |
 //!
@@ -24,7 +24,10 @@
 //! closed-form oracle independently of neural-network training (see
 //! `OracleDenoiser`), while production use plugs in the [`NeuralDenoiser`]
 //! U-Net wrapper; training calls [`NeuralDenoiser::forward_logits`]
-//! directly.
+//! directly. The trait's one required method,
+//! [`InferenceDenoiser::infer_p1_batch_into`], evaluates the network's
+//! belief `p_θ(x̃0 | x_k)` for a batch of lanes at one step; the provided
+//! [`InferenceDenoiser::infer_p1`] runs it per item, each at its own step.
 //!
 //! Sampling has one batched *conditioned* core,
 //! [`Sampler::sample_lanes_with`], which takes one [`Conditioning`] per
@@ -69,10 +72,7 @@ pub use model::TrainedModel;
 pub use sampler::{
     categorical_draw_in_place, reverse_update_in_place, BatchScratch, SampleTrace, Sampler,
 };
-pub use schedule::{
-    flip_between, forward_sample, posterior_jump_same_prob, posterior_same_prob, reverse_jump_prob,
-    reverse_step_prob, NoiseSchedule,
-};
+pub use schedule::{flip_between, forward_sample, posterior_jump_same_prob, NoiseSchedule};
 pub use trainer::{TrainConfig, TrainReport, Trainer};
 
 pub use dp_squish::DeepSquishTensor;

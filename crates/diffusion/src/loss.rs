@@ -14,7 +14,7 @@
 //! space, so the gradient with respect to the logits is computed exactly —
 //! no stochastic estimator is needed.
 
-use crate::schedule::{posterior_same_prob, NoiseSchedule};
+use crate::schedule::{posterior_jump_same_prob, NoiseSchedule};
 use dp_nn::Tensor;
 use dp_squish::DeepSquishTensor;
 
@@ -75,8 +75,8 @@ pub fn vb_loss_and_grad(
         );
         assert_eq!((x0.channels(), x0.side()), (c, side), "x0 shape");
         assert_eq!((xk.channels(), xk.side()), (c, side), "xk shape");
-        let ps_eq = posterior_same_prob(schedule, k, true);
-        let ps_ne = posterior_same_prob(schedule, k, false);
+        let ps_eq = posterior_jump_same_prob(schedule, k - 1, k, true);
+        let ps_ne = posterior_jump_same_prob(schedule, k - 1, k, false);
         for ci in 0..c {
             for m in 0..side {
                 for nn in 0..side {
@@ -94,7 +94,7 @@ pub fn vb_loss_and_grad(
                     let p_same =
                         (p_match * ps_eq + (1.0 - p_match) * ps_ne).clamp(P_EPS, 1.0 - P_EPS);
                     // True posterior keep-probability (Eq. 12).
-                    let q_same = posterior_same_prob(schedule, k, bk == b0);
+                    let q_same = if bk == b0 { ps_eq } else { ps_ne };
 
                     // Cross-entropy on x0.
                     let s_true = if b0 { s1 } else { s0 };
@@ -144,26 +144,14 @@ pub fn vb_loss_and_grad(
     )
 }
 
-/// Extracts per-entry `p_θ(x̃0 = 1 | x_k)` from a logit tensor (same layout
-/// as [`vb_loss_and_grad`]), for batch item `ni`.
+/// Appends per-entry `p_θ(x̃0 = 1 | x_k)` of batch item `ni` to `out`,
+/// extracted from a logit tensor (same layout as [`vb_loss_and_grad`]).
+/// The batched sampling path concatenates every lane's probabilities into
+/// one buffer with repeated calls.
 ///
 /// # Panics
 ///
 /// Panics when the tensor is not `(n, 2C, M, M)` or `ni` is out of range.
-pub fn p1_of_logits(logits: &Tensor, ni: usize, channels: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    p1_of_logits_append(logits, ni, channels, &mut out);
-    out
-}
-
-/// As [`p1_of_logits`] but **appending** to a caller-provided buffer —
-/// the batched sampling path concatenates every lane's
-/// probabilities into one buffer with repeated calls (identical per-entry
-/// arithmetic, so lane slices are bit-equal to single-item extraction).
-///
-/// # Panics
-///
-/// Same conditions as [`p1_of_logits`].
 pub fn p1_of_logits_append(logits: &Tensor, ni: usize, channels: usize, out: &mut Vec<f64>) {
     let side = logits.shape()[2];
     assert_eq!(logits.shape()[1], 2 * channels, "logit channel layout");
@@ -270,7 +258,8 @@ mod tests {
         let mut logits = Tensor::zeros(&[1, 2, 2, 2]);
         logits.set4(0, 0, 0, 0, 5.0); // state-1 logit high at (m=0, n=0)
         logits.set4(0, 1, 1, 1, 5.0); // state-0 logit high at (m=1, n=1)
-        let p1 = p1_of_logits(&logits, 0, 1);
+        let mut p1 = Vec::new();
+        p1_of_logits_append(&logits, 0, 1, &mut p1);
         assert!(p1[0] > 0.99); // entry (n=0, m=0)
         assert!(p1[3] < 0.01); // entry (n=1, m=1)
         assert!((p1[1] - 0.5).abs() < 1e-9);

@@ -253,10 +253,6 @@ impl TrainedModel {
 }
 
 impl InferenceDenoiser for TrainedModel {
-    fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
-        self.denoiser.infer_p1(xks, ks)
-    }
-
     fn infer_p1_batch_into(
         &self,
         xks: &[DeepSquishTensor],

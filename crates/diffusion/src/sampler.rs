@@ -261,8 +261,8 @@ impl Sampler {
 
     /// Builds an evenly strided retained-step subset `[s, 2s, ..., K]` for
     /// [`Sampler::sample_lanes_with`]; stride 1 is the full
-    /// ancestral chain `1..=K` (`posterior_jump_same_prob(k-1, k)` is
-    /// bit-exactly [`crate::posterior_same_prob`]`(k)`).
+    /// ancestral chain `1..=K` (every jump is then Eq. 12's single step,
+    /// [`posterior_jump_same_prob`]`(k-1, k)`).
     ///
     /// The respacing contract, pinned by unit tests:
     ///
@@ -337,10 +337,6 @@ struct Recorder<'a> {
 }
 
 impl InferenceDenoiser for Recorder<'_> {
-    fn infer_p1(&self, xks: &[DeepSquishTensor], ks: &[usize]) -> Vec<Vec<f64>> {
-        self.inner.infer_p1(xks, ks)
-    }
-
     fn infer_p1_batch_into(
         &self,
         xks: &[DeepSquishTensor],
@@ -383,18 +379,16 @@ fn apply_guidance(
     ws.put_probs(base);
 }
 
-/// Applies one reverse denoising step to a lane in place: every entry is
-/// kept or flipped with keep-probability `pm·eq + (1−pm)·ne`, where `pm`
-/// is the network's probability that `x̃_0` matches the entry's current
-/// value and `(eq, ne)` are the step's two posterior coefficients
-/// ([`crate::posterior_same_prob`] / [`posterior_jump_same_prob`] at
-/// `xk_equals_x0 ∈ {true, false}`). The coefficients depend only on the
-/// schedule and the step — never on the state — so callers hoist them out
-/// of the element loop instead of re-deriving the posterior per entry.
+/// Applies one reverse denoising step to a lane in place — the Eq. 11
+/// mixture `p_θ(x_j = x_k | x_k)`: every entry is kept with probability
+/// `pm·eq + (1−pm)·ne` and flipped otherwise, where `pm` is the network's
+/// probability that `x̃_0` matches the entry's current value and
+/// `(eq, ne)` are the step's two Eq. 12 coefficients
+/// ([`posterior_jump_same_prob`] at `xk_equals_x0 ∈ {true, false}`). The
+/// coefficients depend only on the schedule and the step — never on the
+/// state — so callers hoist them out of the element loop.
 ///
-/// Exactly one RNG draw per entry, in entry order, and the same f64
-/// operation sequence as evaluating the per-element posterior mixture, so
-/// the hoisted form is bit-exact against the scalar one. Public so the
+/// Exactly one RNG draw per entry, in entry order. Public so the
 /// micro-benchmarks can time the sampler's non-network floor directly.
 pub fn reverse_update_in_place(
     eq: f64,

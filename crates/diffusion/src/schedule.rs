@@ -184,9 +184,13 @@ pub fn flip_between(schedule: &NoiseSchedule, j: usize, k: usize) -> f64 {
     ((bk - bj) / denom).clamp(0.0, 0.5)
 }
 
-/// `q(x_j = x_k | x_k, x_0)` for an arbitrary jump `j < k` — the
-/// generalisation of Eq. 12 that powers respaced (DDIM-style, paper ref.
-/// \[12\]) sampling. With `a = b̄_j` and `f = flip_between(j, k)`:
+/// `q(x_j = x_k | x_k, x_0)` — the posterior probability that the state at
+/// step `j < k` *equals the current state*, given whether `x_k == x_0`.
+/// At `j = k − 1` this is Eq. 12 specialised to the symmetric binary
+/// case (`f` is then `β_k` itself, so training's loss and the plain
+/// ancestral chain use it there); a larger jump powers respaced
+/// (DDIM-style, paper ref. \[12\]) sampling. With `a = b̄_j` and
+/// `f = flip_between(j, k)`:
 ///
 /// * `x_k == x_0`:  `(1-f)(1-a) / ((1-f)(1-a) + f·a)`
 /// * `x_k != x_0`:  `(1-f)·a / ((1-f)·a + f·(1-a))`
@@ -209,61 +213,6 @@ pub fn posterior_jump_same_prob(
         let num = (1.0 - f) * a;
         num / (num + f * (1.0 - a))
     }
-}
-
-/// `q(x_{k-1} = x_k | x_k, x_0)` — the posterior probability that the
-/// previous state *equals the current state*, given whether `x_k == x_0`
-/// (Eq. 12 specialised to the symmetric binary case; the single-step case
-/// of [`posterior_jump_same_prob`]).
-///
-/// # Panics
-///
-/// Panics when `k` is outside `1..=K`.
-pub fn posterior_same_prob(schedule: &NoiseSchedule, k: usize, xk_equals_x0: bool) -> f64 {
-    assert!(k >= 1 && k <= schedule.steps(), "step out of range");
-    let a = schedule.cumulative_flip(k - 1);
-    let b = schedule.beta(k);
-    if xk_equals_x0 {
-        let num = (1.0 - b) * (1.0 - a);
-        num / (num + b * a)
-    } else {
-        let num = (1.0 - b) * a;
-        num / (num + b * (1.0 - a))
-    }
-}
-
-/// `p_θ(x_{k-1} = x_k | x_k)` — the probability that the reverse step keeps
-/// the current state, obtained by marginalising the posterior over the
-/// network's belief `p1 = p_θ(x̃_0 = x_k | x_k)` (Eq. 11).
-///
-/// # Panics
-///
-/// Panics when `k` is outside `1..=K` or `p_x0_equals_xk` is not a
-/// probability.
-pub fn reverse_step_prob(schedule: &NoiseSchedule, k: usize, p_x0_equals_xk: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&p_x0_equals_xk),
-        "probability out of range"
-    );
-    let p_same_if_eq = posterior_same_prob(schedule, k, true);
-    let p_same_if_ne = posterior_same_prob(schedule, k, false);
-    p_x0_equals_xk * p_same_if_eq + (1.0 - p_x0_equals_xk) * p_same_if_ne
-}
-
-/// `p_θ(x_j = x_k | x_k)` for an arbitrary reverse jump `j < k` — the
-/// respaced counterpart of [`reverse_step_prob`].
-///
-/// # Panics
-///
-/// Panics when `j >= k`, `k > K`, or `p_x0_equals_xk` is not a probability.
-pub fn reverse_jump_prob(schedule: &NoiseSchedule, j: usize, k: usize, p_x0_equals_xk: f64) -> f64 {
-    assert!(
-        (0.0..=1.0).contains(&p_x0_equals_xk),
-        "probability out of range"
-    );
-    let p_same_if_eq = posterior_jump_same_prob(schedule, j, k, true);
-    let p_same_if_ne = posterior_jump_same_prob(schedule, j, k, false);
-    p_x0_equals_xk * p_same_if_eq + (1.0 - p_x0_equals_xk) * p_same_if_ne
 }
 
 #[cfg(test)]
@@ -362,7 +311,7 @@ mod tests {
                 } else {
                     joint_m1 / (joint_m0 + joint_m1)
                 };
-                let ours = posterior_same_prob(&s, k, j == 0);
+                let ours = posterior_jump_same_prob(&s, k - 1, k, j == 0);
                 assert!(
                     (ours - brute_same).abs() < 1e-12,
                     "k={k} j={j}: {ours} vs {brute_same}"
@@ -373,28 +322,36 @@ mod tests {
 
     #[test]
     fn reverse_step_with_perfect_knowledge_denoises() {
-        // If the model is certain x0 == xk, the reverse step should strongly
-        // prefer keeping the state (for small a).
+        // A certain belief collapses Eq. 11's mixture onto one Eq. 12
+        // coefficient. If the model is certain x0 == xk, the reverse step
+        // should strongly prefer keeping the state (for small a).
         let s = schedule();
-        let keep = reverse_step_prob(&s, 2, 1.0);
+        let keep = posterior_jump_same_prob(&s, 1, 2, true);
         assert!(keep > 0.95, "{keep}");
         // If the model is certain x0 != xk at the last step, it should be
         // likely to move away.
-        let keep = reverse_step_prob(&s, 1000, 0.0);
+        let keep = posterior_jump_same_prob(&s, 999, 1000, false);
         assert!(keep < 0.6, "{keep}");
     }
 
     #[test]
     fn jump_posterior_reduces_to_single_step() {
+        // At j = k - 1 the jump posterior is Eq. 12's single-step
+        // expression bit for bit; trained model bytes rely on it.
         let s = NoiseSchedule::linear(100, 0.01, 0.5).unwrap();
         for k in [1usize, 5, 50, 100] {
-            for eq in [true, false] {
-                assert!(
-                    (posterior_jump_same_prob(&s, k - 1, k, eq) - posterior_same_prob(&s, k, eq))
-                        .abs()
-                        < 1e-15
-                );
-            }
+            let a = s.cumulative_flip(k - 1);
+            let b = s.beta(k);
+            let eq = (1.0 - b) * (1.0 - a);
+            let ne = (1.0 - b) * a;
+            assert_eq!(
+                posterior_jump_same_prob(&s, k - 1, k, true),
+                eq / (eq + b * a)
+            );
+            assert_eq!(
+                posterior_jump_same_prob(&s, k - 1, k, false),
+                ne / (ne + b * (1.0 - a))
+            );
         }
     }
 
@@ -419,12 +376,21 @@ mod tests {
 
     proptest! {
         #[test]
-        fn reverse_prob_is_convex_mixture(k in 1usize..=100, p in 0.0f64..=1.0) {
+        fn reverse_prob_is_convex_mixture(
+            k in 1usize..=100, p in 0.0f64..=1.0, seed in any::<u64>()
+        ) {
+            // Eq. 11 draws once per entry: where a stream seeded alike keeps
+            // (or flips) an entry at both Eq. 12 coefficients, so must the mixture.
             let s = NoiseSchedule::linear(100, 0.01, 0.5).unwrap();
-            let lo = posterior_same_prob(&s, k, false).min(posterior_same_prob(&s, k, true));
-            let hi = posterior_same_prob(&s, k, false).max(posterior_same_prob(&s, k, true));
-            let r = reverse_step_prob(&s, k, p);
-            prop_assert!(r >= lo - 1e-12 && r <= hi + 1e-12);
+            let [eq, ne] = [true, false].map(|same| posterior_jump_same_prob(&s, k / 2, k, same));
+            let rng = || rand::rngs::StdRng::seed_from_u64(seed);
+            let mut bits: [bool; 64] = std::array::from_fn(|i| i % 2 == 0);
+            crate::reverse_update_in_place(eq, ne, &mut bits, &[p; 64], &mut rng());
+            let (mut at_eq, mut at_ne) = (rng(), rng());
+            for (i, b) in bits.into_iter().enumerate() {
+                let (e, n) = (at_eq.gen_bool(eq), at_ne.gen_bool(ne));
+                prop_assert!(e != n || (b == (i % 2 == 0)) == e, "eq {eq} ne {ne} p {p}");
+            }
         }
 
         #[test]

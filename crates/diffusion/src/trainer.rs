@@ -1,6 +1,6 @@
 use crate::loss::{vb_loss_and_grad, LossReport};
 use crate::schedule::{forward_sample, NoiseSchedule};
-use crate::{DiffusionError, NeuralDenoiser, Sampler, TrainedModel};
+use crate::{DiffusionError, NeuralDenoiser, TrainedModel};
 use dp_nn::{Adam, AdamConfig, UNet, UNetConfig};
 use dp_squish::DeepSquishTensor;
 use rand::Rng;
@@ -45,18 +45,24 @@ pub struct TrainReport {
 }
 
 impl TrainReport {
-    /// Mean total loss over the first `n` iterations (at least one); NaN
-    /// for an empty report, as zero training iterations leave.
+    /// Mean total loss over the first `n` iterations; NaN for an empty
+    /// report, as zero training iterations leave. The window is capped at
+    /// half the run (at least one iteration), so on two or more
+    /// iterations it never overlaps [`TrainReport::tail_mean`]'s.
     pub fn head_mean(&self, n: usize) -> f64 {
-        let n = n.max(1).min(self.losses.len());
-        mean_total(&self.losses[..n])
+        mean_total(&self.losses[..self.window(n)])
     }
 
-    /// Mean total loss over the last `n` iterations (at least one); NaN
-    /// for an empty report, as zero training iterations leave.
+    /// Mean total loss over the last `n` iterations, windowed as
+    /// [`TrainReport::head_mean`].
     pub fn tail_mean(&self, n: usize) -> f64 {
-        let len = self.losses.len();
-        mean_total(&self.losses[len - n.max(1).min(len)..])
+        mean_total(&self.losses[self.losses.len() - self.window(n)..])
+    }
+
+    /// `n` capped at half the run, at least one iteration (zero for an
+    /// empty report).
+    fn window(&self, n: usize) -> usize {
+        n.min(self.losses.len() / 2).max(1).min(self.losses.len())
     }
 }
 
@@ -117,17 +123,6 @@ impl Trainer {
     /// Shared access to the denoiser (for `&self` inference).
     pub fn denoiser(&self) -> &NeuralDenoiser {
         &self.denoiser
-    }
-
-    /// The denoiser being trained.
-    pub fn denoiser_mut(&mut self) -> &mut NeuralDenoiser {
-        &mut self.denoiser
-    }
-
-    /// Consumes the trainer, yielding the trained denoiser and a sampler
-    /// over the same schedule.
-    pub fn into_parts(self) -> (NeuralDenoiser, Sampler) {
-        (self.denoiser, Sampler::new(self.schedule))
     }
 
     /// Consumes the trainer and freezes its state into an immutable,
@@ -244,22 +239,35 @@ mod tests {
     }
 
     #[test]
-    fn report_means_clamp_n_and_are_nan_when_empty() {
-        let empty = TrainReport::default();
+    fn report_windows_cap_at_half_the_run_and_are_nan_when_empty() {
+        let report = |totals: &[f64]| TrainReport {
+            losses: totals
+                .iter()
+                .map(|&total| LossReport {
+                    total,
+                    kl: 0.0,
+                    ce: 0.0,
+                })
+                .collect(),
+        };
+        let empty = report(&[]);
         assert!(empty.head_mean(50).is_nan());
         assert!(empty.tail_mean(50).is_nan());
-        let losses = [4.0, 2.0, 1.0].map(|total| LossReport {
-            total,
-            kl: 0.0,
-            ce: 0.0,
-        });
-        let report = TrainReport {
-            losses: losses.to_vec(),
-        };
-        assert_eq!(report.head_mean(2), 3.0);
-        assert_eq!(report.tail_mean(2), 1.5);
-        assert_eq!(report.head_mean(0), 4.0);
-        assert_eq!(report.tail_mean(9), 7.0 / 3.0);
+        let one = report(&[5.0]);
+        assert_eq!((one.head_mean(50), one.tail_mean(50)), (5.0, 5.0));
+        let three = report(&[4.0, 2.0, 1.0]);
+        assert_eq!(three.head_mean(2), 4.0);
+        assert_eq!(three.tail_mean(2), 1.0);
+        assert_eq!(three.head_mean(0), 4.0);
+        assert_eq!(three.tail_mean(9), 1.0);
+        // A falling 30-iteration run with a 50-iteration window: each
+        // mean covers its own half, so the trend shows.
+        let falling: Vec<f64> = (1..=30).rev().map(f64::from).collect();
+        let falling = report(&falling);
+        assert_eq!(falling.head_mean(50), 23.0);
+        assert_eq!(falling.tail_mean(50), 8.0);
+        assert_eq!(falling.head_mean(4), 28.5);
+        assert_eq!(falling.tail_mean(4), 2.5);
     }
 
     #[test]
@@ -330,7 +338,8 @@ mod tests {
         let mut trainer = Trainer::new(&tiny_unet(1), config, &mut rng).unwrap();
         let dataset = striped_dataset(8);
         let _ = trainer.train(&dataset, 60, &mut rng).unwrap();
-        let (denoiser, sampler) = trainer.into_parts();
+        let model = trainer.finish().unwrap();
+        let sampler = model.sampler();
 
         let min_dist = |t: &DeepSquishTensor| -> usize {
             dataset
@@ -360,7 +369,7 @@ mod tests {
                 &mut crate::BatchScratch::new(),
             )
         };
-        let samples = draw(&denoiser);
+        let samples = draw(&model);
         let trained: usize = samples.iter().map(&min_dist).sum();
         let noise = draw(&crate::UniformDenoiser::new());
         let baseline: usize = noise.iter().map(min_dist).sum();

@@ -3,7 +3,6 @@ use crate::{DesignRules, Violation};
 use dp_geometry::runs::{filled_runs, interior_space_runs};
 use dp_geometry::{BitGrid, ComponentLabels, Coord, Layout};
 use dp_squish::SquishPattern;
-use std::ops::Range;
 
 /// Result of a DRC run: every violation found plus coverage statistics.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -51,38 +50,45 @@ impl DrcReport {
 /// measured. With `rules.exempt_border()`, geometry touching the tile
 /// boundary is skipped, matching tile-mode sign-off practice.
 pub fn check_pattern(pattern: &SquishPattern, rules: &DesignRules) -> DrcReport {
+    scan(pattern, rules).0
+}
+
+/// The one DRC scan behind [`check_pattern`] and [`flagged_cells`]: the
+/// report, plus the `(col, row)` topology cells of every violation in it.
+fn scan(pattern: &SquishPattern, rules: &DesignRules) -> (DrcReport, Vec<(usize, usize)>) {
     let topo = pattern.topology();
     let xs = pattern.x_scan_lines();
     let ys = pattern.y_scan_lines();
     let mut report = DrcReport::default();
+    let mut flagged = Vec::new();
 
     // Rows: width and space along x (`row` indexes both the topology and
     // the `ys` scan lines, so a range loop is the clear form).
     #[allow(clippy::needless_range_loop)]
     for row in 0..topo.height() {
-        let cross = ys[row];
         check_line(
             topo.row(row),
-            topo.width(),
             &xs,
             Axis::X,
-            cross,
+            ys[row],
             rules,
             &mut report,
+            &mut flagged,
+            |col| (col, row),
         );
     }
     // Columns: width and space along y.
     #[allow(clippy::needless_range_loop)]
     for col in 0..topo.width() {
-        let cross = xs[col];
         check_line(
             topo.column(col),
-            topo.height(),
             &ys,
             Axis::Y,
-            cross,
+            xs[col],
             rules,
             &mut report,
+            &mut flagged,
+            |row| (col, row),
         );
     }
 
@@ -96,10 +102,10 @@ pub fn check_pattern(pattern: &SquishPattern, rules: &DesignRules) -> DrcReport 
             continue;
         }
         report.polygons_checked += 1;
-        let area: i128 = labels
-            .cells_of(label)
-            .into_iter()
-            .map(|(c, r)| pattern.dx()[c] as i128 * pattern.dy()[r] as i128)
+        let cells = labels.cells_of(label);
+        let area: i128 = cells
+            .iter()
+            .map(|&(c, r)| pattern.dx()[c] as i128 * pattern.dy()[r] as i128)
             .sum();
         if area < rules.area_min() || area > rules.area_max() {
             report.violations.push(Violation::Area {
@@ -108,24 +114,28 @@ pub fn check_pattern(pattern: &SquishPattern, rules: &DesignRules) -> DrcReport 
                 min: rules.area_min(),
                 max: rules.area_max(),
             });
+            flagged.extend(cells);
         }
     }
 
-    report
+    (report, flagged)
 }
 
-/// Checks one row or column worth of cells.
+/// Checks one row or column worth of cells into `report` and `flagged`;
+/// `cell(i)` is the `(col, row)` of the line's cell `i`.
 #[allow(clippy::too_many_arguments)]
 fn check_line(
     cells: impl Iterator<Item = bool>,
-    len: usize,
     scan: &[Coord],
     axis: Axis,
     cross: Coord,
     rules: &DesignRules,
     report: &mut DrcReport,
+    flagged: &mut Vec<(usize, usize)>,
+    cell: impl Fn(usize) -> (usize, usize),
 ) {
     let cells: Vec<bool> = cells.collect();
+    let len = cells.len();
     for run in filled_runs(cells.iter().copied()) {
         if run.touches_border(len) && rules.exempt_border() {
             continue;
@@ -140,6 +150,7 @@ fn check_line(
                 extent,
                 required: rules.width_min(),
             });
+            flagged.extend((run.start..run.end).map(&cell));
         }
     }
     for run in interior_space_runs(cells.iter().copied(), len) {
@@ -153,6 +164,7 @@ fn check_line(
                 extent,
                 required: rules.space_min(),
             });
+            flagged.extend((run.start..run.end).map(&cell));
         }
     }
 }
@@ -173,72 +185,11 @@ pub fn check_layout(layout: &Layout, rules: &DesignRules) -> DrcReport {
 /// adds) while freezing the already-legal remainder of the pattern.
 pub fn flagged_cells(pattern: &SquishPattern, rules: &DesignRules) -> BitGrid {
     let topo = pattern.topology();
-    let xs = pattern.x_scan_lines();
-    let ys = pattern.y_scan_lines();
     let mut mask = BitGrid::new(topo.width(), topo.height()).expect("topology is non-empty");
-
-    for row in 0..topo.height() {
-        let cells: Vec<bool> = topo.row(row).collect();
-        for span in violating_spans(&cells, topo.width(), &xs, rules) {
-            for col in span {
-                mask.set(col, row, true);
-            }
-        }
-    }
-    for col in 0..topo.width() {
-        let cells: Vec<bool> = topo.column(col).collect();
-        for span in violating_spans(&cells, topo.height(), &ys, rules) {
-            for row in span {
-                mask.set(col, row, true);
-            }
-        }
-    }
-
-    let labels = ComponentLabels::label(topo);
-    let boxes = labels.bounding_boxes();
-    for label in 0..labels.count() {
-        let (c0, r0, c1, r1) = boxes[label as usize];
-        let touches_border = c0 == 0 || r0 == 0 || c1 == topo.width() || r1 == topo.height();
-        if touches_border && rules.exempt_border() {
-            continue;
-        }
-        let cells = labels.cells_of(label);
-        let area: i128 = cells
-            .iter()
-            .map(|&(c, r)| pattern.dx()[c] as i128 * pattern.dy()[r] as i128)
-            .sum();
-        if area < rules.area_min() || area > rules.area_max() {
-            for (c, r) in cells {
-                mask.set(c, r, true);
-            }
-        }
+    for (col, row) in scan(pattern, rules).1 {
+        mask.set(col, row, true);
     }
     mask
-}
-
-/// Cell-index spans of the width/space violations along one row or column
-/// — [`check_line`]'s scan with locations instead of reports.
-fn violating_spans(
-    cells: &[bool],
-    len: usize,
-    scan: &[Coord],
-    rules: &DesignRules,
-) -> Vec<Range<usize>> {
-    let mut out = Vec::new();
-    for run in filled_runs(cells.iter().copied()) {
-        if run.touches_border(len) && rules.exempt_border() {
-            continue;
-        }
-        if scan[run.end] - scan[run.start] < rules.width_min() {
-            out.push(run.start..run.end);
-        }
-    }
-    for run in interior_space_runs(cells.iter().copied(), len) {
-        if scan[run.end] - scan[run.start] < rules.space_min() {
-            out.push(run.start..run.end);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
