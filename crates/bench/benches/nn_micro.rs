@@ -2,14 +2,16 @@
 //! conv / attention regressions are visible independently of the
 //! end-to-end paper tables.
 //!
-//! The GEMM shapes are the actual products the C4 16x16 U-Net issues
-//! (`(m, k, n)` = weight rows, im2col depth, spatial positions): the stem,
-//! a level-0 feature conv, a level-1 feature conv, the widest decoder
-//! conv, and an attention score product. Layer benches run prepacked with
-//! a warm workspace — the steady-state configuration of the sampling hot
-//! loop.
+//! The GEMM shapes are the products the shipped U-Net
+//! (`PipelineConfig::default()`) issues, derived from its config so they
+//! cannot drift (`(m, k, n)` = weight rows, im2col depth, spatial
+//! positions): the stem, a level-0 feature conv, a level-1 feature conv,
+//! the widest decoder conv, the output head, and the attention score
+//! product. Layer benches run prepacked with a warm workspace — the
+//! steady-state configuration of the sampling hot loop.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use diffpattern::PipelineConfig;
 use dp_diffusion::{
     categorical_draw_in_place, posterior_jump_same_prob, reverse_update_in_place, NoiseSchedule,
 };
@@ -23,15 +25,29 @@ fn gemm(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let mut group = c.benchmark_group("nn_micro/gemm");
     group.sample_size(10);
-    for (label, m, k, n) in [
-        ("stem_16x36x256", 16usize, 36usize, 256usize),
-        ("feature_16x144x256", 16, 144, 256),
-        ("level1_32x288x64", 32, 288, 64),
-        ("decoder_16x432x256", 16, 432, 256),
-        ("attn_scores_64x32x64", 64, 32, 64),
+    let pipeline = PipelineConfig::default();
+    let unet = pipeline.unet_config();
+    // Channels and spatial positions of the two levels; attention runs at
+    // level 1, where the decoder's first conv also reads the level's skip.
+    let (c0, c1) = (
+        unet.base_channels * unet.channel_mults[0],
+        unet.base_channels * unet.channel_mults[1],
+    );
+    let (l0, l1) = (
+        pipeline.fold_side().pow(2),
+        (pipeline.fold_side() / 2).pow(2),
+    );
+    for (name, m, k, n) in [
+        ("stem", c0, 9 * unet.in_channels, l0),
+        ("feature", c0, 9 * c0, l0),
+        ("level1", c1, 9 * c1, l1),
+        ("decoder", c1, 9 * 2 * c1, l1),
+        ("head", unet.out_channels, 9 * c0, l0),
+        ("attn_scores", l1, c1, l1),
     ] {
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let label = format!("{name}_{m}x{k}x{n}");
         group.bench_with_input(BenchmarkId::from_parameter(label), &(), |bch, ()| {
             bch.iter(|| matmul(&a, &b))
         });

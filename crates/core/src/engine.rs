@@ -42,10 +42,15 @@ pub(crate) enum Payload {
     Topology(usize, BitGrid),
 }
 
-/// One completed lane: the statistics delta it accumulated plus its
-/// outcome. `Ok(None)` means the lane exhausted its attempt budget —
-/// shortfall, accounted by the receiver.
+/// One completed lane, or every lane a deadline expired before a worker
+/// claimed it: the statistics delta plus the outcome. `Ok(None)` means
+/// the lanes exhausted their attempt budgets — shortfall, accounted by
+/// the receiver.
 pub(crate) struct LaneMsg {
+    /// How many lanes the message settles: 1 from a worker; a request's
+    /// unclaimed lanes from deadline expiry, so expiry costs one message
+    /// whatever the request's count.
+    pub(crate) lanes: usize,
     pub(crate) delta: PipelineReport,
     pub(crate) payload: Result<Option<Payload>, GenerateError>,
 }
@@ -235,11 +240,11 @@ impl Engine {
         self.sampler.strided_steps(stride)
     }
 
-    /// Admits a request. The returned receiver yields one [`LaneMsg`] per
-    /// requested item and disconnects when the last lane has been
-    /// delivered (or the engine shuts down / the request is cancelled
-    /// before its lanes are claimed). A zero-count request disconnects
-    /// immediately.
+    /// Admits a request. The returned receiver yields [`LaneMsg`]s whose
+    /// lane counts sum to the requested items, and disconnects when the
+    /// last lane has been delivered (or the engine shuts down / the
+    /// request is cancelled before its lanes are claimed). A zero-count
+    /// request disconnects immediately.
     ///
     /// # Errors
     ///
@@ -297,10 +302,13 @@ impl Engine {
     }
 
     /// Converts every queued request whose deadline has passed into
-    /// shortfall: each unclaimed lane gets an `Ok(None)` message (counted
-    /// by the receiver exactly like an exhausted attempt budget) and the
-    /// entry leaves the queue. Returns the nearest *future* deadline among
-    /// the survivors, so parked workers know how long they may sleep.
+    /// shortfall: its unclaimed lanes get one `Ok(None)` message carrying
+    /// their count (counted by the receiver exactly like as many exhausted
+    /// attempt budgets) and the entry leaves the queue. One message per
+    /// request, not per lane, keeps the scheduler lock's hold time
+    /// independent of the request's count. Returns the nearest *future*
+    /// deadline among the survivors, so parked workers know how long they
+    /// may sleep.
     fn expire_due(sched: &mut Sched) -> Option<Instant> {
         // dp-lint: allow(nondeterministic-time): deadline expiry is wall-clock by definition and never reaches pattern bytes
         let now = Instant::now();
@@ -313,12 +321,11 @@ impl Engine {
                 nearest = Some(nearest.map_or(deadline, |n| n.min(deadline)));
                 return true;
             }
-            for _ in p.next_lane..p.req.job.count {
-                let _ = p.req.tx.send(LaneMsg {
-                    delta: PipelineReport::default(),
-                    payload: Ok(None),
-                });
-            }
+            let _ = p.req.tx.send(LaneMsg {
+                lanes: p.req.job.count - p.next_lane,
+                delta: PipelineReport::default(),
+                payload: Ok(None),
+            });
             false
         });
         nearest
@@ -626,6 +633,7 @@ pub(crate) fn run_worker(model: &TrainedModel, engine: &Engine) {
             // A dead receiver (dropped handle) just discards the message;
             // the lane's work is already done and nobody is owed it.
             let _ = lane.req.tx.send(LaneMsg {
+                lanes: 1,
                 delta: lane.report,
                 payload,
             });

@@ -668,18 +668,18 @@ impl RequestHandle {
         }
     }
 
-    /// Folds one lane message into the running report; returns its
-    /// payload when it carried one.
+    /// Folds one lane message (settling `msg.lanes` lanes) into the
+    /// running report; returns its payload when it carried one.
     fn absorb(&mut self, msg: LaneMsg) -> Option<Payload> {
         self.report.merge(&msg.delta);
-        self.lanes_done += 1;
+        self.lanes_done += msg.lanes;
         if self.lanes_done >= self.count {
             self.finished = true;
         }
         match msg.payload {
             Ok(Some(payload)) => Some(payload),
             Ok(None) => {
-                self.report.shortfall += 1;
+                self.report.shortfall += msg.lanes;
                 None
             }
             Err(e) => {

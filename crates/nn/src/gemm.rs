@@ -1,13 +1,33 @@
 //! Blocked GEMM, packing and transpose kernels for the compute hot path.
 //!
 //! The multiply is organised as a register-blocked micro-kernel over
-//! panel-packed A: rows of A are packed in groups of [`MR`] so the inner
-//! loop reads one contiguous `MR`-wide column of A per `k` step, streams
-//! one row of B, and accumulates `MR` output rows simultaneously. The
-//! inner loop is branch-free (no zero-skip) and written so LLVM
-//! autovectorises it. Bias addition is fused into the epilogue (the
-//! output is *initialised* with the bias, then accumulated into), which
-//! the convolution and linear layers use to avoid a separate pass.
+//! panel-packed A (Goto & van de Geijn, "Anatomy of High-Performance
+//! Matrix Multiplication", ACM TOMS 2008): rows of A are packed in groups
+//! of [`MR`] so the inner loop reads one contiguous `MR`-wide column of A
+//! per `k` step, streams one row of B, and accumulates `MR` output rows
+//! simultaneously. The inner loop is branch-free (no zero-skip). Bias
+//! addition is fused into the epilogue (the output is *initialised* with
+//! the bias, then accumulated into), which the convolution and linear
+//! layers use to avoid a separate pass.
+//!
+//! # Two tile kernels, one accumulation order
+//!
+//! `gemm_blocks` sweeps each `MR`-row block in `MR x NR` tiles with one
+//! of two kernels, chosen by the build's target features alone:
+//!
+//! * built for x86-64 with AVX-512F (the repository's `target-cpu=native`
+//!   on an AVX-512 host), the `avx512` kernel keeps a 4x64 tile in 16 zmm
+//!   accumulators, with masked loads and stores for the last `n % 16`
+//!   columns;
+//! * on every other target the portable kernel keeps a 4x16 tile in
+//!   arrays that LLVM autovectorises.
+//!
+//! Both compute each output element in the naive i-j-k order: the
+//! accumulator starts at `+0.0` and, for `k` ascending, adds the rounded
+//! product `a[i][k] * b[k][j]` with a rounded add (never a fused
+//! multiply-add); the finished sum is then added into the initialised
+//! output. Every model, sample and digest is therefore the same bytes
+//! whichever kernel a build runs, and the tests pin the order bitwise.
 //!
 //! # Threading policy
 //!
@@ -135,12 +155,6 @@ pub(crate) fn gemm_packed(
     gemm_blocks(packed_a, b, out, m, k, n);
 }
 
-/// Micro-kernel width: output columns accumulated in registers per tile.
-/// `MR x NR = 64` f32 accumulators — sized so the tile fits the vector
-/// register file once the build targets a 256/512-bit ISA (see the
-/// `target-cpu=native` note in `.cargo/config.toml`).
-const NR: usize = 16;
-
 /// Panel sweep over all `rows` output rows, one `MR`-row block at a time.
 // Kept out of line: inlined into `gemm_packed`, LLVM spills B's base
 // pointer and reloads it on every `k` step of the full-width tile, which
@@ -152,6 +166,39 @@ fn gemm_blocks(packed_a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usi
         let block_rows = MR.min(rows - done);
         let panel = &packed_a[(done / MR) * MR * k..][..MR * k];
         let out_block = &mut out[done * n..(done + block_rows) * n];
+        tiles::sweep(panel, b, out_block, block_rows, k, n);
+        done += block_rows;
+    }
+}
+
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+use avx512 as tiles;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+use portable as tiles;
+
+/// The portable tile kernel: an `MR x NR` block of `f32` arrays that LLVM
+/// autovectorises (256-bit `vmulps` + `vaddps` under AVX2).
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+mod portable {
+    use super::MR;
+
+    /// Micro-kernel width: output columns accumulated in registers per
+    /// tile. `MR x NR = 64` f32 accumulators, eight ymm registers once the
+    /// build targets a 256-bit ISA (see the `target-cpu=native` note in
+    /// `.cargo/config.toml`).
+    const NR: usize = 16;
+
+    /// Adds `panel (MR x k) * b (k x n)` into the `block_rows` rows of
+    /// `out_block`, one `MR x NR` tile at a time.
+    #[inline(always)]
+    pub(super) fn sweep(
+        panel: &[f32],
+        b: &[f32],
+        out_block: &mut [f32],
+        block_rows: usize,
+        k: usize,
+        n: usize,
+    ) {
         let mut j0 = 0usize;
         while j0 < n {
             let width = NR.min(n - j0);
@@ -168,58 +215,207 @@ fn gemm_blocks(packed_a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usi
             }
             j0 += width;
         }
-        done += block_rows;
+    }
+
+    /// The register-tiled core: an `MR x W` accumulator block lives
+    /// entirely in registers across the full `k` loop, so each step
+    /// touches only one `MR`-wide column of packed A and one `W`-wide row
+    /// segment of B — no output traffic until the final write-back.
+    /// Branch-free and autovectorisation-friendly (the const width lets
+    /// LLVM fully unroll).
+    #[inline]
+    fn tile_kernel<const W: usize>(
+        panel: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        j0: usize,
+    ) -> [[f32; W]; MR] {
+        let mut acc = [[0.0f32; W]; MR];
+        for kk in 0..k {
+            let ap = &panel[kk * MR..kk * MR + MR];
+            let bs = &b[kk * n + j0..kk * n + j0 + W];
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let ar = ap[r];
+                for (a, &bv) in acc_row.iter_mut().zip(bs) {
+                    *a += ar * bv;
+                }
+            }
+        }
+        acc
+    }
+
+    /// Variable-width tail tile for the last `n % NR` columns.
+    fn tile_kernel_tail(
+        panel: &[f32],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        j0: usize,
+        width: usize,
+    ) -> [[f32; NR]; MR] {
+        let mut acc = [[0.0f32; NR]; MR];
+        for kk in 0..k {
+            let ap = &panel[kk * MR..kk * MR + MR];
+            let bs = &b[kk * n + j0..kk * n + j0 + width];
+            for (r, acc_row) in acc.iter_mut().enumerate() {
+                let ar = ap[r];
+                for (a, &bv) in acc_row.iter_mut().zip(bs) {
+                    *a += ar * bv;
+                }
+            }
+        }
+        acc
     }
 }
 
-/// The register-tiled core: an `MR x W` accumulator block lives entirely
-/// in registers across the full `k` loop, so each step touches only one
-/// `MR`-wide column of packed A and one `W`-wide row segment of B — no
-/// output traffic until the final write-back. Branch-free and
-/// autovectorisation-friendly (the const width lets LLVM fully unroll).
-#[inline]
-fn tile_kernel<const W: usize>(
-    panel: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    j0: usize,
-) -> [[f32; W]; MR] {
-    let mut acc = [[0.0f32; W]; MR];
-    for kk in 0..k {
-        let ap = &panel[kk * MR..kk * MR + MR];
-        let bs = &b[kk * n + j0..kk * n + j0 + W];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let ar = ap[r];
-            for (a, &bv) in acc_row.iter_mut().zip(bs) {
-                *a += ar * bv;
-            }
-        }
-    }
-    acc
-}
+/// The AVX-512 tile kernel: an `MR x NR` tile of 16 zmm accumulators,
+/// each `k` step one `_mm512_mul_ps` and then one `_mm512_add_ps` per
+/// accumulator, so every element sees the portable kernel's operations in
+/// its order. This module holds the crate's only `unsafe`: entering code
+/// compiled for AVX-512F, and the vector loads and stores, each of which
+/// takes a slice whose bounds safe code has already checked.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[allow(unsafe_code)]
+mod avx512 {
+    use super::MR;
+    use std::arch::x86_64::{
+        __m512, __mmask16, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
 
-/// Variable-width tail tile for the last `n % NR` columns.
-fn tile_kernel_tail(
-    panel: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    j0: usize,
-    width: usize,
-) -> [[f32; NR]; MR] {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let ap = &panel[kk * MR..kk * MR + MR];
-        let bs = &b[kk * n + j0..kk * n + j0 + width];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let ar = ap[r];
-            for (a, &bv) in acc_row.iter_mut().zip(bs) {
-                *a += ar * bv;
+    /// `f32` lanes in one zmm register.
+    const LANES: usize = 16;
+    /// zmm registers per tile row: `MR x VECS = 16` accumulators, half the
+    /// register file, leaving room for the B row and the products.
+    const VECS: usize = 4;
+    /// Micro-kernel width: output columns accumulated in registers per
+    /// tile.
+    const NR: usize = LANES * VECS;
+
+    /// Adds `panel (MR x k) * b (k x n)` into the `block_rows` rows of
+    /// `out_block`.
+    #[inline(always)]
+    pub(super) fn sweep(
+        panel: &[f32],
+        b: &[f32],
+        out_block: &mut [f32],
+        block_rows: usize,
+        _k: usize,
+        n: usize,
+    ) {
+        // SAFETY: this module is compiled only when the build enables
+        // AVX-512F for x86-64, so the CPU running it has the instructions
+        // `sweep_tiles` is compiled to.
+        unsafe { sweep_tiles(panel, b, out_block, block_rows, n) }
+    }
+
+    /// One `MR x NR` tile at a time; the last, `n % NR` columns wide,
+    /// takes as few registers as hold it, the last `n % LANES` columns
+    /// through masked lanes.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn sweep_tiles(panel: &[f32], b: &[f32], out_block: &mut [f32], block_rows: usize, n: usize) {
+        let mut j0 = 0usize;
+        while j0 < n {
+            let width = NR.min(n - j0);
+            match width.div_ceil(LANES) {
+                1 => tile::<1>(panel, b, out_block, block_rows, n, j0, width),
+                2 => tile::<2>(panel, b, out_block, block_rows, n, j0, width),
+                3 => tile::<3>(panel, b, out_block, block_rows, n, j0, width),
+                _ => tile::<VECS>(panel, b, out_block, block_rows, n, j0, width),
             }
+            j0 += width;
         }
     }
-    acc
+
+    /// Adds columns `j0..j0 + width` of `panel * b` into the first
+    /// `block_rows` rows of `out_block`, with `V` zmm accumulators per
+    /// row.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn tile<const V: usize>(
+        panel: &[f32],
+        b: &[f32],
+        out_block: &mut [f32],
+        block_rows: usize,
+        n: usize,
+        j0: usize,
+        width: usize,
+    ) {
+        let mut acc = [[_mm512_setzero_ps(); V]; MR];
+        for (kk, ap) in panel.chunks_exact(MR).enumerate() {
+            let bv = load_row::<V>(&b[kk * n + j0..][..width]);
+            for (acc_row, &a) in acc.iter_mut().zip(ap) {
+                let av = _mm512_set1_ps(a);
+                for (c, &bx) in acc_row.iter_mut().zip(&bv) {
+                    *c = _mm512_add_ps(*c, _mm512_mul_ps(av, bx));
+                }
+            }
+        }
+        for (r, acc_row) in acc.iter().enumerate().take(block_rows) {
+            let o = &mut out_block[r * n + j0..][..width];
+            let mut sums = load_row::<V>(o);
+            for (s, &c) in sums.iter_mut().zip(acc_row) {
+                *s = _mm512_add_ps(*s, c);
+            }
+            store_row(o, sums);
+        }
+    }
+
+    /// Loads `s` into `V` registers: `16 (V - 1)` values through full
+    /// loads, the remaining one to sixteen through a masked one.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load_row<const V: usize>(s: &[f32]) -> [__m512; V] {
+        let (full, tail) = s.split_at(LANES * (V - 1));
+        let mut regs = [_mm512_setzero_ps(); V];
+        for (reg, chunk) in regs.iter_mut().zip(full.chunks_exact(LANES)) {
+            *reg = load(chunk);
+        }
+        regs[V - 1] = load(tail);
+        regs
+    }
+
+    /// Stores `regs` into `s`, the inverse of [`load_row`].
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn store_row<const V: usize>(s: &mut [f32], regs: [__m512; V]) {
+        let (full, tail) = s.split_at_mut(LANES * (V - 1));
+        for (&reg, chunk) in regs.iter().zip(full.chunks_exact_mut(LANES)) {
+            store(chunk, reg);
+        }
+        store(tail, regs[V - 1]);
+    }
+
+    /// The mask selecting the first `len` (at most 16) lanes.
+    #[inline(always)]
+    fn lanes(len: usize) -> __mmask16 {
+        assert!(len <= LANES, "at most one register of lanes");
+        ((1u32 << len) - 1) as __mmask16
+    }
+
+    /// Loads `s` (at most 16 values) into the low lanes of a register;
+    /// the lanes past its end read as `0.0`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(s: &[f32]) -> __m512 {
+        let mask = lanes(s.len());
+        // SAFETY: `mask` enables exactly the first `s.len()` lanes, which
+        // lie inside `s`; masked-off lanes are not read and cannot fault.
+        unsafe { _mm512_maskz_loadu_ps(mask, s.as_ptr()) }
+    }
+
+    /// Stores the low `s.len()` (at most 16) lanes of `v` into `s`.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn store(s: &mut [f32], v: __m512) {
+        let mask = lanes(s.len());
+        // SAFETY: `mask` enables exactly the first `s.len()` lanes, which
+        // lie inside `s`, borrowed mutably; masked-off lanes are not
+        // written.
+        unsafe { _mm512_mask_storeu_ps(s.as_mut_ptr(), mask, v) }
+    }
 }
 
 /// Matrix product `a (m x k) * b (k x n) -> (m x n)`.
@@ -325,20 +521,34 @@ mod tests {
     #[test]
     fn blocked_kernel_matches_naive_on_odd_shapes() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        // Shapes exercising every tail path of the MR blocking.
+        // Shapes exercising every tail path of the MR blocking and of
+        // either kernel's tile width (one to four 16-lane registers, full
+        // or masked), then the products the shipped U-Net issues.
         for (m, k, n) in [
             (1, 1, 1),
             (3, 5, 7),
             (4, 4, 4),
             (5, 9, 2),
             (7, 13, 17),
+            (6, 11, 40),
+            (5, 7, 63),
+            (9, 3, 100),
             (16, 36, 256),
+            (32, 36, 256),
+            (32, 288, 256),
+            (64, 576, 64),
+            (64, 1152, 64),
+            (8, 288, 256),
+            (64, 64, 64),
         ] {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let b = Tensor::randn(&[k, n], 1.0, &mut rng);
             let c = matmul(&a, &b);
+            // Bitwise: the kernel sums over `k` in ascending order from
+            // +0.0 with a rounded multiply then a rounded add, exactly as
+            // the naive loop does.
             for (x, y) in c.data().iter().zip(naive_matmul(&a, &b)) {
-                assert!((x - y).abs() < 1e-4, "({m},{k},{n}): {x} vs {y}");
+                assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n}): {x} vs {y}");
             }
         }
     }
@@ -367,7 +577,8 @@ mod tests {
         );
         for i in 0..m {
             for j in 0..n {
-                assert!((out[i * n + j] - (base[i * n + j] + i as f32)).abs() < 1e-4);
+                let expected = base[i * n + j] + i as f32;
+                assert_eq!(out[i * n + j].to_bits(), expected.to_bits(), "({i},{j})");
             }
         }
         gemm_packed(
@@ -381,7 +592,8 @@ mod tests {
         );
         for i in 0..m {
             for j in 0..n {
-                assert!((out[i * n + j] - (base[i * n + j] + 10.0 + j as f32)).abs() < 1e-4);
+                let expected = base[i * n + j] + (10.0 + j as f32);
+                assert_eq!(out[i * n + j].to_bits(), expected.to_bits(), "({i},{j})");
             }
         }
     }

@@ -74,7 +74,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `unsafe` is allowed in one module only, the AVX-512 GEMM tile
+// (`gemm::avx512`), for its vector loads and stores.
+#![deny(unsafe_code)]
 
 mod activation;
 mod adam;

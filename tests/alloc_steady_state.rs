@@ -17,7 +17,9 @@
 //! lock-step lanes.
 //!
 //! The allocator needs `unsafe` to delegate to the system allocator; the
-//! workspace itself is `#![forbid(unsafe_code)]`.
+//! workspace itself denies `unsafe_code` everywhere but one module,
+//! `dp_nn`'s AVX-512 GEMM tile (`gemm::avx512`), whose vector loads and
+//! stores need it.
 
 #![allow(unsafe_code)]
 

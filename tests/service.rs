@@ -737,6 +737,37 @@ fn in_process_deadline_expires_to_accounted_shortfall() {
 }
 
 #[test]
+fn a_huge_request_past_its_deadline_settles_at_once() {
+    // Expiry settles a request's unclaimed lanes in one step, whatever its
+    // count: 2^40 lanes with a 1 ms deadline end with every undelivered
+    // lane counted as shortfall. Settled one message per lane, under the
+    // scheduler lock, they would stall the pool for days; the poll is
+    // capped so such a build fails instead of hanging.
+    let (model, base) = trained(83, 3);
+    let svc = service(&model, 1);
+    let count = 1usize << 40;
+    let mut handle = svc
+        .submit(
+            &RequestSpec {
+                count,
+                ..base.clone()
+            }
+            .deadline(std::time::Duration::from_millis(1)),
+        )
+        .unwrap();
+    let cap = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        match handle.recv_timeout(cap.saturating_duration_since(std::time::Instant::now())) {
+            RecvPoll::Finished => break,
+            RecvPoll::Item(_) => {}
+            RecvPoll::TimedOut => panic!("an expired 2^40-lane request did not settle in 30 s"),
+        }
+    }
+    let report = handle.report();
+    assert_eq!(report.shortfall, count - report.legal_patterns);
+}
+
+#[test]
 fn first_index_subrange_is_bit_identical_to_the_full_request_slice() {
     // The sub-range determinism contract behind resumable library
     // builds: item `i` of a `first_index: F` request is the same item as
