@@ -376,14 +376,18 @@ fn im2col_into(
                         len = len.min(plane.len() - s0);
                         cols[base + d0..base + d0 + len].copy_from_slice(&plane[s0..s0 + len]);
                         // Horizontal pad columns picked up wrapped
-                        // neighbours in the bulk copy; zero them.
-                        if kj < p {
-                            for oy in oy0..oy1 {
-                                cols[base + oy * w..base + oy * w + (p - kj)].fill(0.0);
-                            }
-                        } else if kj > p {
-                            for oy in oy0..oy1 {
-                                cols[base + (oy + 1) * w - (kj - p)..base + (oy + 1) * w].fill(0.0);
+                        // neighbours in the bulk copy; zero them, one
+                        // strided pass per pad column (a `fill` per row
+                        // would cost a `memset` call per row).
+                        let pads = if kj < p {
+                            0..(p - kj).min(w)
+                        } else {
+                            w.saturating_sub(kj - p)..w
+                        };
+                        for x in pads {
+                            let valid_rows = &mut cols[base + oy0 * w + x..base + oy1 * w];
+                            for v in valid_rows.iter_mut().step_by(w) {
+                                *v = 0.0;
                             }
                         }
                     }

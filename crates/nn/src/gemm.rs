@@ -12,15 +12,18 @@
 //!
 //! # Two tile kernels, one accumulation order
 //!
-//! `gemm_blocks` sweeps each `MR`-row block in `MR x NR` tiles with one
-//! of two kernels, chosen by the build's target features alone:
+//! `gemm_blocks` computes the product in `MR x NR` tiles with one of two
+//! kernels, chosen by the build's target features alone:
 //!
 //! * built for x86-64 with AVX-512F (the repository's `target-cpu=native`
 //!   on an AVX-512 host), the `avx512` kernel keeps a 4x64 tile in 16 zmm
 //!   accumulators, with masked loads and stores for the last `n % 16`
-//!   columns;
-//! * on every other target the portable kernel keeps a 4x16 tile in
-//!   arrays that LLVM autovectorises.
+//!   columns. It reads B from 64-byte-aligned copies of 64 x 64 strips on
+//!   the stack, so its inner loop's 64-byte loads never split a cache
+//!   line: read in place, B's rows start wherever the allocator put the
+//!   buffer, and the tile's speed changed from one process to the next;
+//! * on every other target the portable kernel sweeps each `MR`-row block
+//!   with a 4x16 tile in arrays that LLVM autovectorises.
 //!
 //! Both compute each output element in the naive i-j-k order: the
 //! accumulator starts at `+0.0` and, for `k` ascending, adds the rounded
@@ -155,20 +158,14 @@ pub(crate) fn gemm_packed(
     gemm_blocks(packed_a, b, out, m, k, n);
 }
 
-/// Panel sweep over all `rows` output rows, one `MR`-row block at a time.
+/// Adds `unpack(packed_a) (rows x k) * b (k x n)` into `out` with the
+/// build's tile kernel.
 // Kept out of line: inlined into `gemm_packed`, LLVM spills B's base
-// pointer and reloads it on every `k` step of the full-width tile, which
-// measured slower than the out-of-line kernel.
+// pointer and reloads it on every `k` step of the portable full-width
+// tile, which measured slower than the out-of-line kernel.
 #[inline(never)]
 fn gemm_blocks(packed_a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
-    let mut done = 0usize;
-    while done < rows {
-        let block_rows = MR.min(rows - done);
-        let panel = &packed_a[(done / MR) * MR * k..][..MR * k];
-        let out_block = &mut out[done * n..(done + block_rows) * n];
-        tiles::sweep(panel, b, out_block, block_rows, k, n);
-        done += block_rows;
-    }
+    tiles::gemm(packed_a, b, out, rows, k, n);
 }
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
@@ -188,10 +185,31 @@ mod portable {
     /// `.cargo/config.toml`).
     const NR: usize = 16;
 
+    /// Panel sweep over all `rows` output rows, one `MR`-row block at a
+    /// time.
+    #[inline(always)]
+    pub(super) fn gemm(
+        packed_a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        rows: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let mut done = 0usize;
+        while done < rows {
+            let block_rows = MR.min(rows - done);
+            let panel = &packed_a[(done / MR) * MR * k..][..MR * k];
+            let out_block = &mut out[done * n..(done + block_rows) * n];
+            sweep(panel, b, out_block, block_rows, k, n);
+            done += block_rows;
+        }
+    }
+
     /// Adds `panel (MR x k) * b (k x n)` into the `block_rows` rows of
     /// `out_block`, one `MR x NR` tile at a time.
     #[inline(always)]
-    pub(super) fn sweep(
+    fn sweep(
         panel: &[f32],
         b: &[f32],
         out_block: &mut [f32],
@@ -272,9 +290,12 @@ mod portable {
 /// The AVX-512 tile kernel: an `MR x NR` tile of 16 zmm accumulators,
 /// each `k` step one `_mm512_mul_ps` and then one `_mm512_add_ps` per
 /// accumulator, so every element sees the portable kernel's operations in
-/// its order. This module holds the crate's only `unsafe`: entering code
-/// compiled for AVX-512F, and the vector loads and stores, each of which
-/// takes a slice whose bounds safe code has already checked.
+/// its order. The tile reads B from 64-byte-aligned strips on the stack,
+/// so its loads never split a cache line wherever the allocator placed B
+/// (only the copy into the strip reads B in place, once per row group).
+/// This module holds the crate's only `unsafe`: entering code compiled
+/// for AVX-512F, and the vector loads and stores, each of which takes a
+/// slice whose bounds safe code has already checked.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[allow(unsafe_code)]
 mod avx512 {
@@ -283,6 +304,7 @@ mod avx512 {
         __m512, __mmask16, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
         _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
     };
+    use std::ops::Range;
 
     /// `f32` lanes in one zmm register.
     const LANES: usize = 16;
@@ -292,74 +314,154 @@ mod avx512 {
     /// Micro-kernel width: output columns accumulated in registers per
     /// tile.
     const NR: usize = LANES * VECS;
+    /// `k` steps per strip of B: a `KC x NR` strip is 16 KiB, so it stays
+    /// in L1 while every row block of a group streams through it.
+    const KC: usize = 64;
+    /// `MR`-row blocks per group: between strips a group's partial sums
+    /// wait in a `GROUP * MR x NR` buffer (16 KiB).
+    const GROUP: usize = 16;
 
-    /// Adds `panel (MR x k) * b (k x n)` into the `block_rows` rows of
-    /// `out_block`.
+    /// Rows of `NR` lanes, each starting on a cache line.
+    #[repr(C, align(64))]
+    struct Lines<const R: usize>([[f32; NR]; R]);
+
+    /// The operands of one product: packed A (`rows x k`, in `MR`-row
+    /// panels) and row-major B (`k x n`).
+    struct Operands<'a> {
+        packed_a: &'a [f32],
+        b: &'a [f32],
+        rows: usize,
+        k: usize,
+        n: usize,
+    }
+
+    /// One product's stack scratch: the current strip of B, and a group's
+    /// partial sums between strips.
+    struct Scratch {
+        strip: Lines<KC>,
+        partial: Lines<{ GROUP * MR }>,
+    }
+
+    /// Adds `unpack(packed_a) (rows x k) * b (k x n)` into `out`.
     #[inline(always)]
-    pub(super) fn sweep(
-        panel: &[f32],
+    pub(super) fn gemm(
+        packed_a: &[f32],
         b: &[f32],
-        out_block: &mut [f32],
-        block_rows: usize,
-        _k: usize,
+        out: &mut [f32],
+        rows: usize,
+        k: usize,
         n: usize,
     ) {
+        let ops = Operands {
+            packed_a,
+            b,
+            rows,
+            k,
+            n,
+        };
         // SAFETY: this module is compiled only when the build enables
         // AVX-512F for x86-64, so the CPU running it has the instructions
-        // `sweep_tiles` is compiled to.
-        unsafe { sweep_tiles(panel, b, out_block, block_rows, n) }
+        // `sweep_strips` is compiled to.
+        unsafe { sweep_strips(&ops, out) }
     }
 
-    /// One `MR x NR` tile at a time; the last, `n % NR` columns wide,
-    /// takes as few registers as hold it, the last `n % LANES` columns
-    /// through masked lanes.
+    /// One `NR`-column strip of the output at a time; the last, `n % NR`
+    /// columns wide, takes as few registers as hold it, the last
+    /// `n % LANES` columns through masked lanes.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn sweep_tiles(panel: &[f32], b: &[f32], out_block: &mut [f32], block_rows: usize, n: usize) {
+    fn sweep_strips(ops: &Operands<'_>, out: &mut [f32]) {
+        let mut scratch = Scratch {
+            strip: Lines([[0.0; NR]; KC]),
+            partial: Lines([[0.0; NR]; GROUP * MR]),
+        };
         let mut j0 = 0usize;
-        while j0 < n {
-            let width = NR.min(n - j0);
-            match width.div_ceil(LANES) {
-                1 => tile::<1>(panel, b, out_block, block_rows, n, j0, width),
-                2 => tile::<2>(panel, b, out_block, block_rows, n, j0, width),
-                3 => tile::<3>(panel, b, out_block, block_rows, n, j0, width),
-                _ => tile::<VECS>(panel, b, out_block, block_rows, n, j0, width),
+        while j0 < ops.n {
+            let cols = j0..j0 + NR.min(ops.n - j0);
+            j0 = cols.end;
+            match cols.len().div_ceil(LANES) {
+                1 => strip_tiles::<1>(ops, out, cols, &mut scratch),
+                2 => strip_tiles::<2>(ops, out, cols, &mut scratch),
+                3 => strip_tiles::<3>(ops, out, cols, &mut scratch),
+                _ => strip_tiles::<VECS>(ops, out, cols, &mut scratch),
             }
-            j0 += width;
         }
     }
 
-    /// Adds columns `j0..j0 + width` of `panel * b` into the first
-    /// `block_rows` rows of `out_block`, with `V` zmm accumulators per
-    /// row.
+    /// Adds output columns `cols` of the product into `out`, with `V` zmm
+    /// accumulators per row. For each group of `GROUP` row blocks and each
+    /// `KC` steps of `k`, those columns of B are copied into the strip
+    /// (zeros past `cols`, up to `V` registers), and every block of the
+    /// group runs its tile over the strip. A tile's sums wait in the
+    /// partial buffer between strips and are added into `out` after the
+    /// last one, so each output element still sums its `k` products in
+    /// ascending order from `+0.0`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    fn tile<const V: usize>(
-        panel: &[f32],
-        b: &[f32],
-        out_block: &mut [f32],
-        block_rows: usize,
-        n: usize,
-        j0: usize,
-        width: usize,
+    fn strip_tiles<const V: usize>(
+        ops: &Operands<'_>,
+        out: &mut [f32],
+        cols: Range<usize>,
+        scratch: &mut Scratch,
     ) {
-        let mut acc = [[_mm512_setzero_ps(); V]; MR];
-        for (kk, ap) in panel.chunks_exact(MR).enumerate() {
-            let bv = load_row::<V>(&b[kk * n + j0..][..width]);
-            for (acc_row, &a) in acc.iter_mut().zip(ap) {
-                let av = _mm512_set1_ps(a);
-                for (c, &bx) in acc_row.iter_mut().zip(&bv) {
-                    *c = _mm512_add_ps(*c, _mm512_mul_ps(av, bx));
+        let Operands {
+            packed_a,
+            b,
+            rows,
+            k,
+            n,
+        } = *ops;
+        let blocks = rows.div_ceil(MR);
+        for g0 in (0..blocks).step_by(GROUP) {
+            let mut k0 = 0usize;
+            loop {
+                let kc = KC.min(k - k0);
+                let last = k0 + kc == k;
+                for (kk, line) in scratch.strip.0[..kc].iter_mut().enumerate() {
+                    let row = (k0 + kk) * n;
+                    let bv = load_row::<V>(&b[row + cols.start..row + cols.end]);
+                    store_row(&mut line[..V * LANES], bv);
                 }
+                for blk in g0..blocks.min(g0 + GROUP) {
+                    let panel = &packed_a[blk * MR * k + k0 * MR..][..kc * MR];
+                    let partial = &mut scratch.partial.0[(blk - g0) * MR..][..MR];
+                    let mut acc = [[_mm512_setzero_ps(); V]; MR];
+                    if k0 > 0 {
+                        for (acc_row, line) in acc.iter_mut().zip(partial.iter()) {
+                            *acc_row = load_row::<V>(&line[..V * LANES]);
+                        }
+                    }
+                    for (ap, line) in panel.chunks_exact(MR).zip(&scratch.strip.0[..kc]) {
+                        let bv = load_row::<V>(&line[..V * LANES]);
+                        for (acc_row, &a) in acc.iter_mut().zip(ap) {
+                            let av = _mm512_set1_ps(a);
+                            for (c, &bx) in acc_row.iter_mut().zip(&bv) {
+                                *c = _mm512_add_ps(*c, _mm512_mul_ps(av, bx));
+                            }
+                        }
+                    }
+                    if !last {
+                        for (line, &acc_row) in partial.iter_mut().zip(&acc) {
+                            store_row(&mut line[..V * LANES], acc_row);
+                        }
+                        continue;
+                    }
+                    let block_rows = MR.min(rows - blk * MR);
+                    for (r, acc_row) in acc.iter().enumerate().take(block_rows) {
+                        let row = (blk * MR + r) * n;
+                        let o = &mut out[row + cols.start..row + cols.end];
+                        let mut sums = load_row::<V>(o);
+                        for (s, &c) in sums.iter_mut().zip(acc_row) {
+                            *s = _mm512_add_ps(*s, c);
+                        }
+                        store_row(o, sums);
+                    }
+                }
+                if last {
+                    break;
+                }
+                k0 += kc;
             }
-        }
-        for (r, acc_row) in acc.iter().enumerate().take(block_rows) {
-            let o = &mut out_block[r * n + j0..][..width];
-            let mut sums = load_row::<V>(o);
-            for (s, &c) in sums.iter_mut().zip(acc_row) {
-                *s = _mm512_add_ps(*s, c);
-            }
-            store_row(o, sums);
         }
     }
 
@@ -523,7 +625,9 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         // Shapes exercising every tail path of the MR blocking and of
         // either kernel's tile width (one to four 16-lane registers, full
-        // or masked), then the products the shipped U-Net issues.
+        // or masked), products spanning several of the AVX-512 kernel's
+        // 16-block row groups and 64-step `k` strips, then the products
+        // the shipped U-Net issues.
         for (m, k, n) in [
             (1, 1, 1),
             (3, 5, 7),
@@ -533,6 +637,8 @@ mod tests {
             (6, 11, 40),
             (5, 7, 63),
             (9, 3, 100),
+            (70, 130, 40),
+            (133, 65, 100),
             (16, 36, 256),
             (32, 36, 256),
             (32, 288, 256),

@@ -62,15 +62,22 @@ impl GroupNorm {
     ///
     /// Same conditions as [`GroupNorm::forward`].
     pub fn infer(&self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (n, c, h, w) = self.check_input(x);
+        let (_, c, h, w) = self.check_input(x);
         let (cg, hw) = (c / self.groups, h * w);
+        let len = cg * hw;
         let mut out = ws.take_uninit(x.shape());
-        for ni in 0..n {
-            for g in 0..self.groups {
-                let span = (ni * c + g * cg) * hw..(ni * c + (g + 1) * cg) * hw;
-                let xs = &x.data()[span.clone()];
-                let (mean, inv_std) = group_stats(xs, xs.len() as f32, self.eps);
-                let os = &mut out.data_mut()[span];
+        let quads = x
+            .data()
+            .chunks(STATS_GROUPS * len)
+            .zip(out.data_mut().chunks_mut(STATS_GROUPS * len));
+        // Every `(item, group)` slice is `len` elements, in that order, so
+        // the `i`-th slice overall is group `i % groups` (a chunk may span
+        // two items).
+        for (quad, (xq, oq)) in quads.enumerate() {
+            let stats = stats_of_groups(xq, len, self.eps);
+            let groups = xq.chunks(len).zip(oq.chunks_mut(len)).zip(stats);
+            for (gi, ((xs, os), (mean, inv_std))) in groups.enumerate() {
+                let g = (quad * STATS_GROUPS + gi) % self.groups;
                 for (ci, (orow, xrow)) in os.chunks_mut(hw).zip(xs.chunks(hw)).enumerate() {
                     let gamma = self.gamma.value.data()[g * cg + ci];
                     let beta = self.beta.value.data()[g * cg + ci];
@@ -177,6 +184,49 @@ fn normalized(v: f32, mean: f32, inv_std: f32) -> f32 {
     (v - mean) * inv_std
 }
 
+/// Groups whose statistics [`stats_of_groups`] computes together.
+const STATS_GROUPS: usize = 4;
+
+/// [`group_stats`] of each `len`-element group of `xs` (at most
+/// [`STATS_GROUPS`] of them). A full set is summed together: each group
+/// still sums in memory order with the same operations, so the values are
+/// `group_stats`' bit for bit, but the independent sums overlap instead of
+/// each waiting on its own previous add.
+fn stats_of_groups(xs: &[f32], len: usize, eps: f32) -> [(f32, f32); STATS_GROUPS] {
+    let mut stats = [(0.0, 0.0); STATS_GROUPS];
+    if xs.len() != STATS_GROUPS * len {
+        for (s, group) in stats.iter_mut().zip(xs.chunks(len)) {
+            *s = group_stats(group, len as f32, eps);
+        }
+        return stats;
+    }
+    let (g0, rest) = xs.split_at(len);
+    let (g1, rest) = rest.split_at(len);
+    let (g2, g3) = rest.split_at(len);
+    let quads = || g0.iter().zip(g1).zip(g2).zip(g3);
+    let group_len = len as f32;
+    let mut mean = [0.0f32; STATS_GROUPS];
+    for (((&a, &b), &c), &d) in quads() {
+        for (m, x) in mean.iter_mut().zip([a, b, c, d]) {
+            *m += x;
+        }
+    }
+    for m in &mut mean {
+        *m /= group_len;
+    }
+    let mut var = [0.0f32; STATS_GROUPS];
+    for (((&a, &b), &c), &d) in quads() {
+        for (v, (x, m)) in var.iter_mut().zip([a, b, c, d].into_iter().zip(mean)) {
+            let dev = x - m;
+            *v += dev * dev;
+        }
+    }
+    for ((s, m), v) in stats.iter_mut().zip(mean).zip(var) {
+        *s = (m, 1.0 / (v / group_len + eps).sqrt());
+    }
+    stats
+}
+
 /// Mean and inverse standard deviation of one `(batch, group)` slice,
 /// accumulated in memory order (the order `infer` and `backward` share,
 /// so the statistics `backward` recomputes are the forward pass's).
@@ -200,6 +250,58 @@ mod tests {
     use super::*;
     use crate::gradcheck::{assert_close, finite_diff};
     use rand::SeedableRng;
+
+    #[test]
+    fn grouped_statistics_match_one_group_at_a_time() {
+        // Summed together, each group's statistics must be its own
+        // one-at-a-time ones bit for bit, for a full set of groups and for
+        // the one to three a layer's last chunk may hold.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let len = 37;
+        let xs = Tensor::randn(&[STATS_GROUPS * len], 3.0, &mut rng);
+        for groups in 1..=STATS_GROUPS {
+            let part = &xs.data()[..groups * len];
+            let stats = stats_of_groups(part, len, 1e-5);
+            for (g, (xs, (mean, inv_std))) in part.chunks(len).zip(stats).enumerate() {
+                let (m, is) = group_stats(xs, len as f32, 1e-5);
+                assert_eq!(mean.to_bits(), m.to_bits(), "{groups} groups, group {g}");
+                assert_eq!(
+                    inv_std.to_bits(),
+                    is.to_bits(),
+                    "{groups} groups, group {g}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn infer_normalises_each_item_group_with_its_own_statistics() {
+        // Six groups over three items: four-group chunks span items, and
+        // the last chunk holds two groups.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(22);
+        let mut norm = GroupNorm::new(6, 12);
+        norm.gamma.value = Tensor::randn(&[12], 1.0, &mut rng);
+        norm.beta.value = Tensor::randn(&[12], 1.0, &mut rng);
+        let x = Tensor::randn(&[3, 12, 2, 3], 2.0, &mut rng);
+        let y = norm.infer(&x, &mut Workspace::new());
+        let (cg, hw) = (2, 6);
+        for (i, (xs, ys)) in x
+            .data()
+            .chunks(cg * hw)
+            .zip(y.data().chunks(cg * hw))
+            .enumerate()
+        {
+            let g = i % 6;
+            let (mean, inv_std) = group_stats(xs, (cg * hw) as f32, norm.eps);
+            for (j, (&v, &out)) in xs.iter().zip(ys).enumerate() {
+                let ch = g * cg + j / hw;
+                let gamma = norm.gamma.value.data()[ch];
+                let beta = norm.beta.value.data()[ch];
+                let expect = gamma * normalized(v, mean, inv_std) + beta;
+                assert_eq!(out.to_bits(), expect.to_bits(), "slice {i}, element {j}");
+            }
+        }
+    }
 
     #[test]
     fn infer_matches_forward_bit_exactly() {
