@@ -25,18 +25,10 @@ fn gemm(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0);
     let mut group = c.benchmark_group("nn_micro/gemm");
     group.sample_size(10);
-    let pipeline = PipelineConfig::default();
-    let unet = pipeline.unet_config();
     // Channels and spatial positions of the two levels; attention runs at
     // level 1, where the decoder's first conv also reads the level's skip.
-    let (c0, c1) = (
-        unet.base_channels * unet.channel_mults[0],
-        unet.base_channels * unet.channel_mults[1],
-    );
-    let (l0, l1) = (
-        pipeline.fold_side().pow(2),
-        (pipeline.fold_side() / 2).pow(2),
-    );
+    let (unet, c0, c1, s0, s1) = shipped_levels();
+    let (l0, l1) = (s0 * s0, s1 * s1);
     for (name, m, k, n) in [
         ("stem", c0, 9 * unet.in_channels, l0),
         ("feature", c0, 9 * c0, l0),
@@ -55,23 +47,32 @@ fn gemm(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shipped U-Net's widths and feature-map sides: base (level-0)
+/// channels, level-1 channels, level-0 side and level-1 side, derived from
+/// `PipelineConfig::default()` so the layer rows cannot drift from it.
+fn shipped_levels() -> (UNetConfig, usize, usize, usize, usize) {
+    let pipeline = PipelineConfig::default();
+    let unet = pipeline.unet_config();
+    let (c0, c1) = (
+        unet.base_channels * unet.channel_mults[0],
+        unet.base_channels * unet.channel_mults[1],
+    );
+    let (s0, s1) = (pipeline.fold_side(), pipeline.fold_side() / 2);
+    (unet, c0, c1, s0, s1)
+}
+
 fn conv_infer(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let mut ws = Workspace::new();
     let mut group = c.benchmark_group("nn_micro/conv_infer");
     group.sample_size(10);
+    let (_, c0, c1, s0, s1) = shipped_levels();
+    // A level-0 feature conv, the downsampling conv and a level-1 1x1
+    // projection.
     for (label, ic, oc, k, stride, pad, side) in [
-        (
-            "feature_3x3_16ch_16x16",
-            16usize,
-            16usize,
-            3usize,
-            1usize,
-            1usize,
-            16usize,
-        ),
-        ("down_3x3_s2_16ch_16x16", 16, 16, 3, 2, 1, 16),
-        ("proj_1x1_32ch_8x8", 32, 32, 1, 1, 0, 8),
+        (format!("feature_3x3_{c0}ch_{s0}x{s0}"), c0, c0, 3, 1, 1, s0),
+        (format!("down_3x3_s2_{c0}ch_{s0}x{s0}"), c0, c0, 3, 2, 1, s0),
+        (format!("proj_1x1_{c1}ch_{s1}x{s1}"), c1, c1, 1, 1, 0, s1),
     ] {
         let mut conv = Conv2d::new(ic, oc, k, stride, pad, &mut rng);
         conv.prepack();
@@ -89,12 +90,14 @@ fn conv_infer(c: &mut Criterion) {
 fn attention_infer(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let mut ws = Workspace::new();
-    let mut attn = SelfAttention2d::new(32, 4, &mut rng);
+    // Attention runs at level 1.
+    let (unet, _, c1, _, s1) = shipped_levels();
+    let mut attn = SelfAttention2d::new(c1, unet.groups.min(c1), &mut rng);
     attn.prepack();
-    let x = Tensor::randn(&[1, 32, 8, 8], 1.0, &mut rng);
+    let x = Tensor::randn(&[1, c1, s1, s1], 1.0, &mut rng);
     let mut group = c.benchmark_group("nn_micro/attention_infer");
     group.sample_size(10);
-    group.bench_function("c32_8x8", |bch| {
+    group.bench_function(format!("c{c1}_{s1}x{s1}"), |bch| {
         bch.iter(|| {
             let y = attn.infer(&x, &mut ws);
             ws.recycle(y);
@@ -104,24 +107,22 @@ fn attention_infer(c: &mut Criterion) {
 }
 
 fn layers(c: &mut Criterion) {
-    // Per-layer accounting for the non-GEMM layers of the C4 16x16
-    // U-Net, at the exact shapes its forward pass issues. Together with
-    // `gemm`/`conv_infer`/`attention_infer` this splits a
-    // `unet_infer` regression into named layer budgets instead of one
-    // opaque end-to-end number.
+    // Per-layer accounting for the non-GEMM layers of the shipped U-Net,
+    // at the shapes its forward pass issues. Together with
+    // `gemm`/`conv_infer`/`attention_infer` this splits a `unet_infer`
+    // regression into named layer budgets instead of one opaque
+    // end-to-end number.
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let mut ws = Workspace::new();
     let mut group = c.benchmark_group("nn_micro/layers");
     group.sample_size(10);
+    let (unet, c0, c1, s0, s1) = shipped_levels();
 
-    // GroupNorm at the level-0 (16ch 16x16) and level-1 (32ch 8x8)
-    // feature maps.
-    for (label, channels, side) in [
-        ("groupnorm_16ch_16x16", 16usize, 16usize),
-        ("groupnorm_32ch_8x8", 32, 8),
-    ] {
-        let norm = GroupNorm::new(4, channels);
+    // GroupNorm at the level-0 and level-1 feature maps.
+    for (channels, side) in [(c0, s0), (c1, s1)] {
+        let norm = GroupNorm::new(unet.groups.min(channels), channels);
         let x = Tensor::randn(&[1, channels, side, side], 1.0, &mut rng);
+        let label = format!("groupnorm_{channels}ch_{side}x{side}");
         group.bench_with_input(BenchmarkId::from_parameter(label), &(), |bch, ()| {
             bch.iter(|| {
                 let y = norm.infer(&x, &mut ws);
@@ -130,35 +131,44 @@ fn layers(c: &mut Criterion) {
         });
     }
 
-    // SiLU over the widest activation (decoder concat, 32ch 16x16).
-    // Element-wise with value-independent cost, so re-applying in place
-    // measures the same work as a fresh tensor without realloc noise.
-    let mut silu_x = Tensor::randn(&[1, 32, 16, 16], 1.0, &mut rng);
-    group.bench_function("silu_32ch_16x16", |bch| {
-        bch.iter(|| silu_in_place(&mut silu_x))
+    // SiLU over the widest activation, the first level-0 decoder block's
+    // input (level-1 output concatenated with a level-0 skip). Every pass
+    // starts from the same fresh input (the copy is timed too): SiLU's own
+    // output fed back in would shrink towards zero through the subnormals
+    // over many passes, so the work would depend on the pass count.
+    let silu_in = Tensor::randn(&[1, c1 + c0, s0, s0], 1.0, &mut rng);
+    let mut silu_x = silu_in.clone();
+    group.bench_function(format!("silu_{}ch_{s0}x{s0}", c1 + c0), |bch| {
+        bch.iter(|| {
+            silu_x.data_mut().copy_from_slice(silu_in.data());
+            silu_in_place(&mut silu_x)
+        })
     });
 
-    // Attention softmax at the 8x8 map: 64 rows (head-major positions)
-    // of 64 logits. Softmax output is a valid input, so in-place
+    // Attention softmax at the level-1 map: one row of logits per
+    // position. Softmax output is a valid input, so in-place
     // re-application is steady-state.
-    let mut softmax_rows = vec![0.5f32; 64 * 64];
-    group.bench_function("softmax_rows_64x64", |bch| {
-        bch.iter(|| softmax_rows_in_place(&mut softmax_rows, 64))
+    let l1 = s1 * s1;
+    let mut softmax_rows = vec![0.5f32; l1 * l1];
+    group.bench_function(format!("softmax_rows_{l1}x{l1}"), |bch| {
+        bch.iter(|| softmax_rows_in_place(&mut softmax_rows, l1))
     });
 
-    // The time-embedding MLP layers (time_dim 16).
-    let linear = Linear::new(16, 64, &mut rng);
-    let t = Tensor::randn(&[1, 16], 1.0, &mut rng);
-    group.bench_function("linear_time_16to64", |bch| {
+    // A time-embedding MLP layer.
+    let td = unet.time_dim;
+    let mut linear = Linear::new(td, td, &mut rng);
+    linear.prepack();
+    let t = Tensor::randn(&[1, td], 1.0, &mut rng);
+    group.bench_function(format!("linear_time_{td}to{td}"), |bch| {
         bch.iter(|| {
             let y = linear.infer(&t, &mut ws);
             ws.recycle(y);
         })
     });
 
-    // Decoder upsample from the 8x8 bottleneck back to 16x16.
-    let up_in = Tensor::randn(&[1, 32, 8, 8], 1.0, &mut rng);
-    group.bench_function("upsample2_32ch_8to16", |bch| {
+    // Decoder upsample from the level-1 map back to level 0.
+    let up_in = Tensor::randn(&[1, c1, s1, s1], 1.0, &mut rng);
+    group.bench_function(format!("upsample2_{c1}ch_{s1}to{s0}"), |bch| {
         bch.iter(|| {
             let y = upsample_nearest2_ws(&up_in, &mut ws);
             ws.recycle(y);

@@ -1,10 +1,14 @@
 use crate::gemm::{
-    gemm_packed, pack_a_into, pack_a_transposed_into, packed_len, transpose_into, Epilogue, MR,
+    conv_same_size, gemm_packed, pack_a_into, pack_a_transposed_into, packed_len, transpose_into,
+    Epilogue, Taps, MR,
 };
 use crate::{Param, Tensor, Workspace};
 use rand::Rng;
 
-/// 2-D convolution over NCHW tensors, implemented as im2col + GEMM.
+/// 2-D convolution over NCHW tensors, implemented as im2col + GEMM. A
+/// same-size stride-1 convolution is one `gemm::conv_same_size` call,
+/// which on AVX-512 builds reads the im2col matrix straight from the input
+/// planes instead of writing it.
 ///
 /// Supports arbitrary kernel size, stride and zero padding — everything the
 /// DDPM U-Net needs (3x3 stride-1 pad-1 feature convs, 3x3 stride-2 pad-1
@@ -165,6 +169,18 @@ impl Conv2d {
                     Epilogue::BiasPerRow(self.bias.value.data()),
                 );
             }
+        } else if self.stride == 1 && (oh, ow) == (h, w) {
+            // Every feature conv of the U-Net: the GEMM reads B as the
+            // im2col matrix of each item's planes.
+            let taps = Taps {
+                channels: ic,
+                h,
+                w,
+                k,
+                pad: self.padding,
+            };
+            let bias = self.bias.value.data();
+            conv_same_size(panel, bias, x.data(), out.data_mut(), oc, taps, ws);
         } else {
             let mut cols = ws.take_uninit(&[ckk, l]);
             for ni in 0..n {
@@ -329,7 +345,7 @@ impl Conv2d {
 /// item into `cols`, fully overwriting it (padding positions are written
 /// as explicit zeros, so the destination may hold stale data).
 #[allow(clippy::too_many_arguments)]
-fn im2col_into(
+pub(crate) fn im2col_into(
     item: &[f32],
     ic: usize,
     h: usize,

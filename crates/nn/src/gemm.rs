@@ -21,7 +21,10 @@
 //!   columns. It reads B from 64-byte-aligned copies of 64 x 64 strips on
 //!   the stack, so its inner loop's 64-byte loads never split a cache
 //!   line: read in place, B's rows start wherever the allocator put the
-//!   buffer, and the tile's speed changed from one process to the next;
+//!   buffer, and the tile's speed changed from one process to the next.
+//!   For a same-size convolution ([`conv_same_size`]) it fills the strips
+//!   straight from the input planes (the "implicit GEMM" lowering of
+//!   Chetlur et al., arXiv:1410.0759), so no im2col matrix is written;
 //! * on every other target the portable kernel sweeps each `MR`-row block
 //!   with a 4x16 tile in arrays that LLVM autovectorises.
 //!
@@ -40,7 +43,9 @@
 //! across GEMM threads measured slower than running it serially (see the
 //! README's "Threading policy").
 
-use crate::Tensor;
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+use crate::conv::im2col_into;
+use crate::{Tensor, Workspace};
 
 /// Micro-kernel height: rows of A (and of the output) processed together.
 pub(crate) const MR: usize = 4;
@@ -137,6 +142,12 @@ pub(crate) fn gemm_packed(
 ) {
     assert_eq!(packed_a.len(), packed_len(m, k), "packed A length");
     assert_eq!(b.len(), k * n, "B length");
+    init_output(out, m, n, epilogue);
+    gemm_blocks(packed_a, b, out, m, k, n);
+}
+
+/// Initialises the `m x n` output as the [`Epilogue`] says.
+fn init_output(out: &mut [f32], m: usize, n: usize, epilogue: Epilogue<'_>) {
     assert_eq!(out.len(), m * n, "output length");
     match epilogue {
         Epilogue::Zero => out.fill(0.0),
@@ -154,8 +165,98 @@ pub(crate) fn gemm_packed(
             }
         }
     }
+}
 
-    gemm_blocks(packed_a, b, out, m, k, n);
+/// The input side of a same-size stride-1 convolution: `channels` planes
+/// of `h x w` per item, read through a `k x k` kernel with `pad` zero
+/// rows and columns on each side (`2 * pad + 1 = k`), so the output planes
+/// are `h x w` too. Its im2col matrix has one row per `(c, ki, kj)` tap
+/// and one column per output position.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Taps {
+    pub(crate) channels: usize,
+    pub(crate) h: usize,
+    pub(crate) w: usize,
+    pub(crate) k: usize,
+    pub(crate) pad: usize,
+}
+
+impl Taps {
+    /// Rows of the im2col matrix: the GEMM's `k`.
+    fn rows(&self) -> usize {
+        self.channels * self.k * self.k
+    }
+
+    /// Output positions per plane: the GEMM's `n`.
+    fn positions(&self) -> usize {
+        self.h * self.w
+    }
+}
+
+/// Same-size stride-1 convolution of every `(channels, h, w)` item of `x`
+/// into the matching `(m, h, w)` item of `out`: `bias + W * im2col(item)`,
+/// with `panel` the packed `(m, channels * k * k)` kernel `W`.
+///
+/// Built for AVX-512F, the tile kernel copies its B strips straight from
+/// the item's planes, one `(c, ki, kj)` tap per strip row with the padding
+/// read as `0.0`, so no im2col matrix is written; on every other target
+/// `im2col` writes the matrix into `ws` scratch for the portable kernel.
+/// The strips hold the im2col matrix's values, so each output sums the
+/// same products in the same order either way.
+///
+/// # Panics
+///
+/// Panics when `x` or `out` is not a whole number of items, when they
+/// hold different item counts, or when the geometry is not same-size.
+pub(crate) fn conv_same_size(
+    panel: &[f32],
+    bias: &[f32],
+    x: &[f32],
+    out: &mut [f32],
+    m: usize,
+    taps: Taps,
+    ws: &mut Workspace,
+) {
+    let (rows, l) = (taps.rows(), taps.positions());
+    assert_eq!(2 * taps.pad + 1, taps.k, "same-size kernel");
+    assert_eq!(panel.len(), packed_len(m, rows), "packed kernel length");
+    let item_len = taps.channels * l;
+    assert!(x.len().is_multiple_of(item_len), "whole input items");
+    assert_eq!(x.len() / item_len * m * l, out.len(), "output length");
+    let items = x.chunks_exact(item_len).zip(out.chunks_exact_mut(m * l));
+    #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+    {
+        let Taps {
+            channels,
+            h,
+            w,
+            k,
+            pad,
+        } = taps;
+        let mut cols = ws.take_uninit(&[rows, l]);
+        for (item, o) in items {
+            im2col_into(item, channels, h, w, k, 1, pad, h, w, cols.data_mut());
+            gemm_packed(
+                panel,
+                cols.data(),
+                o,
+                m,
+                rows,
+                l,
+                Epilogue::BiasPerRow(bias),
+            );
+        }
+        ws.recycle(cols);
+    }
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    {
+        // The strips live on the stack: no scratch to take.
+        let _ = ws;
+        for (item, o) in items {
+            init_output(o, m, l, Epilogue::BiasPerRow(bias));
+            gemm_planes(panel, item, taps, o, m);
+        }
+    }
 }
 
 /// Adds `unpack(packed_a) (rows x k) * b (k x n)` into `out` with the
@@ -166,6 +267,21 @@ pub(crate) fn gemm_packed(
 #[inline(never)]
 fn gemm_blocks(packed_a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize) {
     tiles::gemm(packed_a, b, out, rows, k, n);
+}
+
+/// Adds `unpack(packed_a) (rows x taps.rows()) * im2col(item)` into `out`,
+/// the AVX-512 tile reading the im2col matrix from the item's planes.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[inline(never)]
+fn gemm_planes(packed_a: &[f32], item: &[f32], taps: Taps, out: &mut [f32], rows: usize) {
+    assert_eq!(item.len(), taps.channels * taps.positions(), "item length");
+    // The strip fill works out plane offsets in 32-bit lanes.
+    let reach = taps.positions() + 16 + taps.pad * (taps.w + 1);
+    assert!(
+        i32::try_from(reach).is_ok(),
+        "plane too large for the strip fill"
+    );
+    avx512::gemm_planes(packed_a, item, taps, out, rows);
 }
 
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
@@ -293,21 +409,24 @@ mod portable {
 /// its order. The tile reads B from 64-byte-aligned strips on the stack,
 /// so its loads never split a cache line wherever the allocator placed B
 /// (only the copy into the strip reads B in place, once per row group).
-/// This module holds the crate's only `unsafe`: entering code compiled
-/// for AVX-512F, and the vector loads and stores, each of which takes a
-/// slice whose bounds safe code has already checked.
+/// B is a row-major matrix or a same-size convolution's input planes, whose
+/// im2col rows the strip copy gathers. `unsafe` here covers entering code
+/// compiled for AVX-512F; the vector loads and stores are the checked
+/// slice ones of `crate::avx512`.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[allow(unsafe_code)]
 mod avx512 {
-    use super::MR;
+    use super::{Taps, MR};
+    use crate::avx512::{lanes, load, store, LANES};
     use std::arch::x86_64::{
-        __m512, __mmask16, _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
-        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        __m512, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_cmpge_epi32_mask,
+        _mm512_cmpge_epu32_mask, _mm512_cmplt_epi32_mask, _mm512_cmplt_epu32_mask,
+        _mm512_mask_sub_epi32, _mm512_maskz_permutexvar_ps, _mm512_mul_ps, _mm512_set1_epi32,
+        _mm512_set1_ps, _mm512_set_epi32, _mm512_setzero_ps, _mm512_setzero_si512,
+        _mm512_sub_epi32,
     };
     use std::ops::Range;
 
-    /// `f32` lanes in one zmm register.
-    const LANES: usize = 16;
     /// zmm registers per tile row: `MR x VECS = 16` accumulators, half the
     /// register file, leaving room for the B row and the products.
     const VECS: usize = 4;
@@ -325,11 +444,21 @@ mod avx512 {
     #[repr(C, align(64))]
     struct Lines<const R: usize>([[f32; NR]; R]);
 
+    /// Where a product's B (`k x n`) comes from.
+    #[derive(Clone, Copy)]
+    enum Source<'a> {
+        /// A row-major matrix.
+        Dense(&'a [f32]),
+        /// The im2col matrix of one same-size convolution item, read from
+        /// the item's `(channels, h, w)` planes.
+        Planes(&'a [f32], Taps),
+    }
+
     /// The operands of one product: packed A (`rows x k`, in `MR`-row
-    /// panels) and row-major B (`k x n`).
+    /// panels) and B (`k x n`).
     struct Operands<'a> {
         packed_a: &'a [f32],
-        b: &'a [f32],
+        b: Source<'a>,
         rows: usize,
         k: usize,
         n: usize,
@@ -352,17 +481,48 @@ mod avx512 {
         k: usize,
         n: usize,
     ) {
-        let ops = Operands {
-            packed_a,
-            b,
-            rows,
-            k,
-            n,
-        };
+        let b = Source::Dense(b);
+        sweep(
+            &Operands {
+                packed_a,
+                b,
+                rows,
+                k,
+                n,
+            },
+            out,
+        );
+    }
+
+    /// Adds `unpack(packed_a) (rows x taps.rows()) * im2col(item)` into
+    /// `out`.
+    #[inline(always)]
+    pub(super) fn gemm_planes(
+        packed_a: &[f32],
+        item: &[f32],
+        taps: Taps,
+        out: &mut [f32],
+        rows: usize,
+    ) {
+        let (b, k, n) = (Source::Planes(item, taps), taps.rows(), taps.positions());
+        sweep(
+            &Operands {
+                packed_a,
+                b,
+                rows,
+                k,
+                n,
+            },
+            out,
+        );
+    }
+
+    #[inline(always)]
+    fn sweep(ops: &Operands<'_>, out: &mut [f32]) {
         // SAFETY: this module is compiled only when the build enables
         // AVX-512F for x86-64, so the CPU running it has the instructions
         // `sweep_strips` is compiled to.
-        unsafe { sweep_strips(&ops, out) }
+        unsafe { sweep_strips(ops, out) }
     }
 
     /// One `NR`-column strip of the output at a time; the last, `n % NR`
@@ -417,10 +577,18 @@ mod avx512 {
             loop {
                 let kc = KC.min(k - k0);
                 let last = k0 + kc == k;
-                for (kk, line) in scratch.strip.0[..kc].iter_mut().enumerate() {
-                    let row = (k0 + kk) * n;
-                    let bv = load_row::<V>(&b[row + cols.start..row + cols.end]);
-                    store_row(&mut line[..V * LANES], bv);
+                let lines = &mut scratch.strip.0[..kc];
+                match b {
+                    Source::Dense(b) => {
+                        for (kk, line) in lines.iter_mut().enumerate() {
+                            let row = (k0 + kk) * n;
+                            let bv = load_row::<V>(&b[row + cols.start..row + cols.end]);
+                            store_row(&mut line[..V * LANES], bv);
+                        }
+                    }
+                    Source::Planes(item, taps) => {
+                        gather::<V>(item, taps, k0, cols.clone(), lines);
+                    }
                 }
                 for blk in g0..blocks.min(g0 + GROUP) {
                     let panel = &packed_a[blk * MR * k + k0 * MR..][..kc * MR];
@@ -465,6 +633,90 @@ mod avx512 {
         }
     }
 
+    /// Writes columns `cols` of im2col rows `k0..k0 + lines.len()` of `item`
+    /// into `lines`: the values the im2col matrix holds there, and zeros
+    /// past them. Row `(c, ki, kj)` is a tap, and its column `j` (output
+    /// position `(oy, ox)`) holds element `j + (ki - pad) w + kj - pad` of
+    /// plane `c`, or `0.0` where input `(oy + ki - pad, ox + kj - pad)`
+    /// lies in the padding: outside the plane (top and bottom rows) or
+    /// past a row's edge (left and right columns, whose elements are the
+    /// neighbouring rows' ends). Each register of a line is one window of
+    /// 16 consecutive plane elements, moved into its lanes by a permute
+    /// that zeroes the padding. The windows, lane indices and masks depend
+    /// on `(ki, kj)` alone, so they are worked out once per tap and reused
+    /// for every channel's row.
+    // Kept out of line, so that its constants are not hoisted into
+    // registers the tile loop needs.
+    #[target_feature(enable = "avx512f")]
+    #[inline(never)]
+    fn gather<const V: usize>(
+        item: &[f32],
+        taps: Taps,
+        k0: usize,
+        cols: Range<usize>,
+        lines: &mut [[f32; NR]],
+    ) {
+        let Taps { h, w, k, pad, .. } = taps;
+        let (hw, kk) = (h * w, k * k);
+        let iota = _mm512_set_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0);
+        // Each lane's column `j`, its output column `ox`, and whether it
+        // lies inside `cols`.
+        let mut pos = [iota; V];
+        let mut ox = [iota; V];
+        let mut in_cols = [0 as __mmask16; V];
+        let wv = _mm512_set1_epi32(w as i32);
+        for (v, ((pos, ox), in_cols)) in pos.iter_mut().zip(&mut ox).zip(&mut in_cols).enumerate() {
+            let j = cols.start + v * LANES;
+            *pos = _mm512_add_epi32(_mm512_set1_epi32(j as i32), iota);
+            *ox = _mm512_add_epi32(_mm512_set1_epi32((j % w) as i32), iota);
+            loop {
+                let wrapped = _mm512_cmpge_epu32_mask(*ox, wv);
+                if wrapped == 0 {
+                    break;
+                }
+                *ox = _mm512_mask_sub_epi32(*ox, wrapped, *ox, wv);
+            }
+            *in_cols = lanes(cols.end.saturating_sub(j).min(LANES));
+        }
+        let hwv = _mm512_set1_epi32(hw as i32);
+        // The channel and tap of row `k0 + t`.
+        let (mut c0, mut ki, mut kj) = (k0 / kk, k0 % kk / k, k0 % k);
+        for t in 0..kk.min(lines.len()) {
+            let shift = (ki * w + kj) as isize - (pad * (w + 1)) as isize;
+            let (ox0, ox1) = (pad.saturating_sub(kj), (w + pad).saturating_sub(kj).min(w));
+            let (ox0, ox1) = (_mm512_set1_epi32(ox0 as i32), _mm512_set1_epi32(ox1 as i32));
+            // Per register: the window's start in the plane, the lanes
+            // that read it, and the window lane each reads.
+            let mut windows = [(0usize, 0 as __mmask16, iota); V];
+            for (v, win) in windows.iter_mut().enumerate() {
+                let idx = _mm512_add_epi32(pos[v], _mm512_set1_epi32(shift as i32));
+                let in_plane = _mm512_cmpge_epi32_mask(idx, _mm512_setzero_si512())
+                    & _mm512_cmplt_epi32_mask(idx, hwv);
+                let in_row =
+                    _mm512_cmpge_epu32_mask(ox[v], ox0) & _mm512_cmplt_epu32_mask(ox[v], ox1);
+                let src = (cols.start + v * LANES) as isize + shift;
+                let base = src.clamp(0, hw.saturating_sub(LANES) as isize) as usize;
+                let perm = _mm512_sub_epi32(idx, _mm512_set1_epi32(base as i32));
+                *win = (base, in_plane & in_row & in_cols[v], perm);
+            }
+            let rows = lines[t..].iter_mut().step_by(kk);
+            for (c, line) in (c0..).zip(rows) {
+                let plane = &item[c * hw..(c + 1) * hw];
+                for (reg, &(base, mask, perm)) in line.chunks_exact_mut(LANES).zip(&windows) {
+                    let window = load(&plane[base..(base + LANES).min(hw)]);
+                    store(reg, _mm512_maskz_permutexvar_ps(mask, perm, window));
+                }
+            }
+            kj += 1;
+            if kj == k {
+                (kj, ki) = (0, ki + 1);
+                if ki == k {
+                    (ki, c0) = (0, c0 + 1);
+                }
+            }
+        }
+    }
+
     /// Loads `s` into `V` registers: `16 (V - 1)` values through full
     /// loads, the remaining one to sixteen through a masked one.
     #[target_feature(enable = "avx512f")]
@@ -488,35 +740,6 @@ mod avx512 {
             store(chunk, reg);
         }
         store(tail, regs[V - 1]);
-    }
-
-    /// The mask selecting the first `len` (at most 16) lanes.
-    #[inline(always)]
-    fn lanes(len: usize) -> __mmask16 {
-        assert!(len <= LANES, "at most one register of lanes");
-        ((1u32 << len) - 1) as __mmask16
-    }
-
-    /// Loads `s` (at most 16 values) into the low lanes of a register;
-    /// the lanes past its end read as `0.0`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn load(s: &[f32]) -> __m512 {
-        let mask = lanes(s.len());
-        // SAFETY: `mask` enables exactly the first `s.len()` lanes, which
-        // lie inside `s`; masked-off lanes are not read and cannot fault.
-        unsafe { _mm512_maskz_loadu_ps(mask, s.as_ptr()) }
-    }
-
-    /// Stores the low `s.len()` (at most 16) lanes of `v` into `s`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn store(s: &mut [f32], v: __m512) {
-        let mask = lanes(s.len());
-        // SAFETY: `mask` enables exactly the first `s.len()` lanes, which
-        // lie inside `s`, borrowed mutably; masked-off lanes are not
-        // written.
-        unsafe { _mm512_mask_storeu_ps(s.as_mut_ptr(), mask, v) }
     }
 }
 
@@ -728,6 +951,91 @@ mod tests {
                 gemm_packed(&panel, b.data(), &mut out, m, k, n, Epilogue::Accumulate);
                 let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&out), bits(acc.data()), "({m},{k},{n}) round {round}");
+            }
+        }
+    }
+
+    #[test]
+    fn same_size_convolution_matches_im2col_then_gemm_bit_for_bit() {
+        // `conv_same_size` (on AVX-512 the tile gathers its strips from the
+        // input planes) against im2col into a matrix and the dense product,
+        // bitwise: every same-size convolution the shipped U-Net issues,
+        // then odd sides, where strips and registers end mid-row, flat
+        // planes and other kernel sizes.
+        let shapes = [
+            // (input channels, output channels, h, w, k)
+            (4, 32, 16, 16, 3), // stem
+            (32, 32, 16, 16, 3),
+            (32, 32, 8, 8, 3),
+            (32, 64, 16, 16, 3),
+            (32, 64, 8, 8, 3),
+            (64, 64, 8, 8, 3),
+            (64, 64, 16, 16, 3), // after the upsample
+            (128, 64, 8, 8, 3),  // decoder, with the skip concatenated
+            (96, 64, 8, 8, 3),
+            (96, 32, 16, 16, 3),
+            (64, 32, 16, 16, 3),
+            (32, 8, 16, 16, 3), // head
+            (3, 5, 5, 5, 3),
+            (2, 6, 7, 7, 3),
+            (5, 4, 9, 9, 3),
+            (3, 3, 5, 9, 3),
+            (2, 3, 1, 6, 3),
+            (3, 5, 9, 7, 5),
+            (2, 4, 6, 5, 1),
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(16);
+        let mut ws = Workspace::new();
+        for (channels, m, h, w, k) in shapes {
+            let taps = Taps {
+                channels,
+                h,
+                w,
+                k,
+                pad: k / 2,
+            };
+            let (rows, l, items) = (channels * k * k, h * w, 2);
+            let weights = Tensor::randn(&[m, rows], 1.0, &mut rng);
+            let mut panel = vec![0.0f32; packed_len(m, rows)];
+            pack_a_into(weights.data(), m, rows, &mut panel);
+            let bias = Tensor::randn(&[m], 1.0, &mut rng);
+            let clean = Tensor::randn(&[items, channels, h, w], 1.0, &mut rng);
+            // The same input with infinities and NaNs at a corner, an edge
+            // and the middle of the last item's planes.
+            let mut special = clean.clone();
+            let last = special.len() - channels * l;
+            for (at, v) in [
+                (0, f32::INFINITY),
+                (w - 1, f32::NAN),
+                (l / 2, f32::NEG_INFINITY),
+                (l - 1, -f32::NAN),
+            ] {
+                special.data_mut()[last + at] = v;
+            }
+            for x in [&clean, &special] {
+                let mut got = vec![f32::NAN; items * m * l];
+                conv_same_size(&panel, bias.data(), x.data(), &mut got, m, taps, &mut ws);
+                let mut cols = vec![0.0f32; rows * l];
+                let mut expect = vec![0.0f32; items * m * l];
+                let outs = expect.chunks_exact_mut(m * l);
+                for (item, out) in x.data().chunks_exact(channels * l).zip(outs) {
+                    crate::conv::im2col_into(item, channels, h, w, k, 1, k / 2, h, w, &mut cols);
+                    gemm_packed(
+                        &panel,
+                        &cols,
+                        out,
+                        m,
+                        rows,
+                        l,
+                        Epilogue::BiasPerRow(bias.data()),
+                    );
+                }
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&expect),
+                    "{channels}->{m} at {h}x{w}, {k}x{k}"
+                );
             }
         }
     }

@@ -11,7 +11,9 @@
 //! scratch:
 //!
 //! * [`Tensor`] — a dense `f32` NCHW tensor with shape-checked helpers,
-//! * [`Conv2d`] — convolution via im2col GEMM, exact backward,
+//! * [`Conv2d`] — convolution as a GEMM over the im2col matrix (read
+//!   straight from the input planes for same-size convolutions on AVX-512
+//!   builds), exact backward,
 //! * [`GroupNorm`], [`silu`] — normalisation and activation with backward,
 //! * [`SelfAttention2d`] — single-head spatial attention with backward,
 //! * [`Linear`], [`sinusoidal_embedding`] — time-step conditioning,
@@ -74,13 +76,19 @@
 //! ```
 
 #![warn(missing_docs)]
-// `unsafe` is allowed in one module only, the AVX-512 GEMM tile
-// (`gemm::avx512`), for its vector loads and stores.
+// `unsafe` is allowed in the two AVX-512 modules only, for entering code
+// compiled for AVX-512F and for their masked vector loads and stores:
+// `avx512` (the per-element kernels, SiLU and softmax's vector `exp`, and
+// the loads and stores) and `gemm::avx512` (the GEMM tile, which also
+// reads same-size convolutions' input planes).
 #![deny(unsafe_code)]
 
 mod activation;
 mod adam;
 mod attention;
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+#[allow(unsafe_code)]
+mod avx512;
 mod conv;
 mod dropout;
 mod embedding;

@@ -66,18 +66,18 @@ impl GroupNorm {
         let (cg, hw) = (c / self.groups, h * w);
         let len = cg * hw;
         let mut out = ws.take_uninit(x.shape());
-        let quads = x
+        let sets = x
             .data()
             .chunks(STATS_GROUPS * len)
             .zip(out.data_mut().chunks_mut(STATS_GROUPS * len));
         // Every `(item, group)` slice is `len` elements, in that order, so
         // the `i`-th slice overall is group `i % groups` (a chunk may span
         // two items).
-        for (quad, (xq, oq)) in quads.enumerate() {
-            let stats = stats_of_groups(xq, len, self.eps);
-            let groups = xq.chunks(len).zip(oq.chunks_mut(len)).zip(stats);
+        for (set, (xset, oset)) in sets.enumerate() {
+            let stats = stats_of_groups(xset, len, self.eps);
+            let groups = xset.chunks(len).zip(oset.chunks_mut(len)).zip(stats);
             for (gi, ((xs, os), (mean, inv_std))) in groups.enumerate() {
-                let g = (quad * STATS_GROUPS + gi) % self.groups;
+                let g = (set * STATS_GROUPS + gi) % self.groups;
                 for (ci, (orow, xrow)) in os.chunks_mut(hw).zip(xs.chunks(hw)).enumerate() {
                     let gamma = self.gamma.value.data()[g * cg + ci];
                     let beta = self.beta.value.data()[g * cg + ci];
@@ -184,8 +184,9 @@ fn normalized(v: f32, mean: f32, inv_std: f32) -> f32 {
     (v - mean) * inv_std
 }
 
-/// Groups whose statistics [`stats_of_groups`] computes together.
-const STATS_GROUPS: usize = 4;
+/// Groups whose statistics [`stats_of_groups`] computes together: one
+/// item's worth at the shipped width.
+const STATS_GROUPS: usize = 8;
 
 /// [`group_stats`] of each `len`-element group of `xs` (at most
 /// [`STATS_GROUPS`] of them). A full set is summed together: each group
@@ -200,24 +201,26 @@ fn stats_of_groups(xs: &[f32], len: usize, eps: f32) -> [(f32, f32); STATS_GROUP
         }
         return stats;
     }
-    let (g0, rest) = xs.split_at(len);
-    let (g1, rest) = rest.split_at(len);
-    let (g2, g3) = rest.split_at(len);
-    let quads = || g0.iter().zip(g1).zip(g2).zip(g3);
+    let mut rest = xs;
+    let groups: [&[f32]; STATS_GROUPS] = std::array::from_fn(|_| {
+        let (group, tail) = rest.split_at(len);
+        rest = tail;
+        group
+    });
     let group_len = len as f32;
     let mut mean = [0.0f32; STATS_GROUPS];
-    for (((&a, &b), &c), &d) in quads() {
-        for (m, x) in mean.iter_mut().zip([a, b, c, d]) {
-            *m += x;
+    for i in 0..len {
+        for (m, group) in mean.iter_mut().zip(&groups) {
+            *m += group[i];
         }
     }
     for m in &mut mean {
         *m /= group_len;
     }
     let mut var = [0.0f32; STATS_GROUPS];
-    for (((&a, &b), &c), &d) in quads() {
-        for (v, (x, m)) in var.iter_mut().zip([a, b, c, d].into_iter().zip(mean)) {
-            let dev = x - m;
+    for i in 0..len {
+        for ((v, group), m) in var.iter_mut().zip(&groups).zip(mean) {
+            let dev = group[i] - m;
             *v += dev * dev;
         }
     }
@@ -255,7 +258,7 @@ mod tests {
     fn grouped_statistics_match_one_group_at_a_time() {
         // Summed together, each group's statistics must be its own
         // one-at-a-time ones bit for bit, for a full set of groups and for
-        // the one to three a layer's last chunk may hold.
+        // the one to seven a layer's last chunk may hold.
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
         let len = 37;
         let xs = Tensor::randn(&[STATS_GROUPS * len], 3.0, &mut rng);
@@ -276,7 +279,7 @@ mod tests {
 
     #[test]
     fn infer_normalises_each_item_group_with_its_own_statistics() {
-        // Six groups over three items: four-group chunks span items, and
+        // Six groups over three items: eight-group chunks span items, and
         // the last chunk holds two groups.
         let mut rng = rand::rngs::StdRng::seed_from_u64(22);
         let mut norm = GroupNorm::new(6, 12);

@@ -17,9 +17,10 @@
 //! lock-step lanes.
 //!
 //! The allocator needs `unsafe` to delegate to the system allocator; the
-//! workspace itself denies `unsafe_code` everywhere but one module,
-//! `dp_nn`'s AVX-512 GEMM tile (`gemm::avx512`), whose vector loads and
-//! stores need it.
+//! workspace itself denies `unsafe_code` everywhere but `dp_nn`'s two
+//! AVX-512 modules, `avx512` (the vector `exp` of SiLU and softmax, and
+//! the masked loads and stores) and the GEMM tile (`gemm::avx512`), which
+//! enter code compiled for AVX-512F and load and store through masks.
 
 #![allow(unsafe_code)]
 
